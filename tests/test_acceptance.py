@@ -1,6 +1,7 @@
 """Acceptance suite: each test runs one exit criterion at its stated
 tolerance and prints a PASS line with the measured value (run with -v -s for
 one line per criterion)."""
+import hashlib
 import math
 
 import numpy as np
@@ -168,6 +169,14 @@ def test_criterion_8_integrator_order():
           + ", ".join(f"{r:.2f}" for r in ratios) + " (all in [14, 18])")
 
 
+# SHA-256 of trace.csv for each preset at --seed 2024.
+GOLDEN_TRACE_SHA256 = {
+    "nominal": "0c7300df62ae7945c7ab222a6c5142f13aa84a93d5c269079488f99d61377f35",
+    "networked": "f6a2966dc14bfcd1852d01d5173d8d3a2336c42b0a38c632fa143123a2c923a3",
+    "stress": "f6b968b0817b64a79c924a7889b2d563306a04a7ab31d8c55ba0d30f7f756046",
+}
+
+
 def test_criterion_9_byte_identical_traces(tmp_path):
     digests = {}
     for preset in sorted(config.PRESETS):
@@ -179,6 +188,8 @@ def test_criterion_9_byte_identical_traces(tmp_path):
             assert code in (0, 2)
             payloads.append((out / "trace.csv").read_bytes())
         assert payloads[0] == payloads[1]
+        assert hashlib.sha256(payloads[0]).hexdigest() == GOLDEN_TRACE_SHA256[preset]
         digests[preset] = len(payloads[0])
-    print(f"\n[criterion 9] PASS byte-identical trace.csv per preset "
+    print(f"\n[criterion 9] PASS byte-identical trace.csv per preset, equal to the "
+          f"golden SHA-256 "
           f"(sizes: {digests})")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -296,6 +297,23 @@ def test_cli_divergence_exit_code(tmp_path):
     code = cli.main(["--config", str(cfg_file), "--out", str(out), "--quiet"])
     assert code == 2
     assert "diverged = true" in (out / "metrics.txt").read_text()
+
+
+def test_cli_lossy_sensor_golden_trace(tmp_path):
+    # no preset drops sensor packets, so pin a run that does
+    cfg_file = tmp_path / "lossy.cfg"
+    cfg_file.write_text("sensor_channel.delay = 0.01\nsensor_channel.drop_prob = 0.3\n"
+                        "duration = 5\n")
+    out = tmp_path / "run"
+    code = cli.main(["--preset", "networked", "--config", str(cfg_file), "--out", str(out),
+                     "--seed", "2024", "--quiet"])
+    assert code == 0
+    payload = (out / "trace.csv").read_bytes()
+    data = np.genfromtxt(out / "trace.csv", delimiter=",", names=True)
+    assert int(data["drop_sensor"].sum()) == 1432
+    assert int(data["drop_actuator"].sum()) == 469
+    assert hashlib.sha256(payload).hexdigest() == (
+        "a8bd3933d49573f0abe7e3c56c28827ba7bcfd5874507a7e7954b53692780f83")
 
 
 def test_cli_preset_networked(tmp_path):
