@@ -53,7 +53,7 @@ from .lti import (
     siso,
     static_gain,
 )
-from .netchan import Channel, ChannelConfig, TimedSample, write_event_log
+from .netchan import Channel, ChannelConfig
 from .plant import (
     DynamicsOverflowError,
     PendulumParams,

@@ -91,9 +91,9 @@ class LyapunovMatrix:
 def solve_lyapunov(a_c, q) -> LyapunovMatrix:
     """Solve A_c^T P + P A_c = -Q for symmetric positive-definite P.
 
-    The symmetric equation is assembled as a dense linear system in the
-    n(n+1)/2 independent entries of P, which is plenty for the small gain
-    matrices used here. A_c must be Hurwitz and Q symmetric positive
+    The equation is solved as the dense Kronecker-sum system
+    (I (x) A^T + A^T (x) I) vec(P) = -vec(Q), which is plenty for the small
+    gain matrices used here. A_c must be Hurwitz and Q symmetric positive
     definite, otherwise no valid P exists.
     """
     a = np.asarray(a_c, dtype=float)
@@ -106,22 +106,9 @@ def solve_lyapunov(a_c, q) -> LyapunovMatrix:
     if not _is_hurwitz(a):
         raise ValueError("A_c must be Hurwitz for a positive-definite solution")
 
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    index = {pair: pos for pos, pair in enumerate(pairs)}
-    size = len(pairs)
-    system = np.zeros((size, size))
-    rhs = np.zeros(size)
-    for row, (i, j) in enumerate(pairs):
-        # (A^T P + P A)_[i,j] = sum_m A[m,i] P[m,j] + P[i,m] A[m,j]
-        for m in range(n):
-            system[row, index[(min(m, j), max(m, j))]] += a[m, i]
-            system[row, index[(min(i, m), max(i, m))]] += a[m, j]
-        rhs[row] = -q[i, j]
-    packed = np.linalg.solve(system, rhs)
-    p = np.zeros((n, n))
-    for (i, j), pos in index.items():
-        p[i, j] = packed[pos]
-        p[j, i] = packed[pos]
+    eye = np.eye(n)
+    system = np.kron(eye, a.T) + np.kron(a.T, eye)
+    p = np.linalg.solve(system, -q.reshape(-1, order="F")).reshape(n, n, order="F")
 
     residual = np.linalg.norm(a.T @ p + p @ a + q)
     if residual > 1e-9 * max(1.0, np.linalg.norm(q)):
@@ -147,7 +134,7 @@ class ControllerConfig:
         if k.size < 1 or not np.all(np.isfinite(k)):
             raise ValueError("k must be a finite gain vector")
         if not _is_hurwitz(companion(k)):
-            raise ValueError("companion matrix of k is not Hurwitz")
+            raise ValueError("k gives a companion matrix that is not Hurwitz")
         q = np.eye(k.size) if self.q is None else np.atleast_2d(np.asarray(self.q, float))
         if q.shape != (k.size, k.size):
             raise ValueError(f"Q must be {k.size}x{k.size}")

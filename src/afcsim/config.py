@@ -22,11 +22,9 @@ Schema (defaults in parentheses):
     disturbance.omega (2.0)         disturbance frequency, rad/s
     sensor_channel.delay (0.0)      s, must be a multiple of dt
     sensor_channel.drop_prob (0.0)  in [0, 1)
-    sensor_channel.sample_period (dt)
     sensor_channel.seed (seed + 1)
     actuator_channel.delay (0.0)
     actuator_channel.drop_prob (0.0)
-    actuator_channel.sample_period (dt)
     actuator_channel.seed (seed + 2)
     controller.k (1, 2)             feedback gains, companion form must be Hurwitz
     controller.q_diag (1, 1)        diagonal of the Lyapunov weight Q
@@ -46,6 +44,7 @@ Schema (defaults in parentheses):
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,11 +154,9 @@ _SCHEMA = {
     "disturbance.omega": float,
     "sensor_channel.delay": float,
     "sensor_channel.drop_prob": float,
-    "sensor_channel.sample_period": float,
     "sensor_channel.seed": int,
     "actuator_channel.delay": float,
     "actuator_channel.drop_prob": float,
-    "actuator_channel.sample_period": float,
     "actuator_channel.seed": int,
     "controller.k": _parse_float_list,
     "controller.q_diag": _parse_float_list,
@@ -192,11 +189,9 @@ _DEFAULTS = {
     "disturbance.omega": 2.0,
     "sensor_channel.delay": 0.0,
     "sensor_channel.drop_prob": 0.0,
-    "sensor_channel.sample_period": None,
     "sensor_channel.seed": None,
     "actuator_channel.delay": 0.0,
     "actuator_channel.drop_prob": 0.0,
-    "actuator_channel.sample_period": None,
     "actuator_channel.seed": None,
     "controller.k": [1.0, 2.0],
     "controller.q_diag": [1.0, 1.0],
@@ -237,30 +232,32 @@ def _require(condition: bool, key: str, where: str, message: str) -> None:
         raise ConfigError(f"invalid '{key}' ({where}): {message}")
 
 
+@contextmanager
+def _reported(prefix: str, where: dict, keys: dict | None = None):
+    """Re-raise a ValueError from the block as a ConfigError for one key.
+
+    The validators start their messages with the field they reject; the
+    key is prefix.field unless keys maps the field to another key.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        field = str(exc).split()[0].lower()
+        key = (keys or {}).get(field, f"{prefix}.{field}")
+        raise ConfigError(f"invalid '{key}' ({where[key]}): {exc}") from None
+
+
 def _channel_config(values, where, prefix: str, dt: float, master_seed: int,
-                    default_seed_offset: int, initial_value: float) -> ChannelConfig:
-    delay = values[f"{prefix}.delay"]
-    drop = values[f"{prefix}.drop_prob"]
-    period = values[f"{prefix}.sample_period"]
-    if period is None:
-        period = dt
+                    default_seed_offset: int, initial_value) -> ChannelConfig:
     seed = values[f"{prefix}.seed"]
     if seed is None:
         seed = master_seed + default_seed_offset
-    _require(delay >= 0, f"{prefix}.delay", where[f"{prefix}.delay"], "must be nonnegative")
-    _require(0 <= drop < 1, f"{prefix}.drop_prob", where[f"{prefix}.drop_prob"],
-             "must lie in [0, 1)")
-    try:
-        check_step_multiple(delay, dt, f"{prefix}.delay")
-        check_step_multiple(period, dt, f"{prefix}.sample_period")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    _require(period > 0, f"{prefix}.sample_period", where[f"{prefix}.sample_period"],
-             "must be positive")
-    _require(0 <= seed < 2 ** 64, f"{prefix}.seed", where[f"{prefix}.seed"],
-             "must be a 64-bit unsigned integer")
-    return ChannelConfig(delay=delay, drop_prob=drop, sample_period=period,
-                         seed=seed, initial_value=initial_value)
+    with _reported(prefix, where):
+        channel = ChannelConfig(delay=values[f"{prefix}.delay"],
+                                drop_prob=values[f"{prefix}.drop_prob"],
+                                seed=seed, initial_value=initial_value)
+        check_step_multiple(channel.delay, dt, "delay")
+    return channel
 
 
 def build_config(sources: list) -> ExperimentConfig:
@@ -292,13 +289,11 @@ def build_config(sources: list) -> ExperimentConfig:
     _require(values["reference.frequency"] >= 0, "reference.frequency",
              where["reference.frequency"], "must be nonnegative")
 
-    try:
+    with _reported("plant", where):
         params = PendulumParams(cart_mass=values["plant.cart_mass"],
                                 pole_mass=values["plant.pole_mass"],
                                 half_length=values["plant.half_length"],
                                 gravity=values["plant.gravity"])
-    except ValueError as exc:
-        raise ConfigError(f"invalid plant parameters: {exc}") from None
 
     x0 = np.asarray(values["plant.x0"], dtype=float)
     _require(x0.size == 2, "plant.x0", where["plant.x0"], "must have exactly 2 entries")
@@ -308,24 +303,18 @@ def build_config(sources: list) -> ExperimentConfig:
     k = np.asarray(values["controller.k"], dtype=float)
     _require(k.size == 2, "controller.k", where["controller.k"],
              "must have exactly 2 gains for the order-2 benchmark")
-    q_diag = np.asarray(values["controller.q_diag"], dtype=float)
-    _require(q_diag.size == k.size, "controller.q_diag", where["controller.q_diag"],
-             f"must have {k.size} entries")
-    _require(bool(np.all(q_diag > 0)), "controller.q_diag", where["controller.q_diag"],
-             "entries must be positive")
     alpha = values["controller.filter_alpha"]
     if alpha is None:
         any_delay = values["sensor_channel.delay"] > 0 or values["actuator_channel.delay"] > 0
         alpha = 0.2 if any_delay else 1.0
-    try:
-        controller = ControllerConfig(k=k, q=np.diag(q_diag), r=values["controller.r"],
+    with _reported("controller", where, {"q": "controller.q_diag"}):
+        controller = ControllerConfig(k=k, q=np.diag(values["controller.q_diag"]),
+                                      r=values["controller.r"],
                                       gamma_f=values["controller.gamma_f"],
                                       gamma_g=values["controller.gamma_g"],
                                       g_min=values["controller.g_min"],
                                       u_max=values["controller.u_max"],
                                       filter_alpha=alpha)
-    except ValueError as exc:
-        raise ConfigError(f"invalid controller settings ({where['controller.k']}): {exc}") from None
 
     lo = np.asarray(values["fuzzy.lo"], dtype=float)
     hi = np.asarray(values["fuzzy.hi"], dtype=float)
@@ -343,7 +332,7 @@ def build_config(sources: list) -> ExperimentConfig:
              "must be at least controller.g_min (the control law divides by g_hat)")
 
     sensor = _channel_config(values, where, "sensor_channel", dt, seed, 1,
-                             initial_value=float(x0[0]))
+                             initial_value=tuple(x0.tolist()))
     actuator = _channel_config(values, where, "actuator_channel", dt, seed, 2,
                                initial_value=0.0)
 

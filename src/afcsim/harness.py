@@ -9,7 +9,6 @@ deterministic for a fixed configuration, including the channel seeds.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -88,11 +87,10 @@ def reference_derivatives(amplitude: float, frequency: float, t: float,
 def run_experiment(cfg: ExperimentConfig) -> tuple:
     """Simulate the configured loop; returns (SimulationTrace, Metrics).
 
-    The state travels to the controller through one sensor packet per step:
-    both components use channels with the same seed, so a drop stalls the
-    whole measurement. In ideal_model mode the control law uses the true
-    plant f and g and adaptation is frozen (diagnostic configuration for
-    checking the Lyapunov decrement).
+    The state travels to the controller as one sensor packet per step, so a
+    drop stalls the whole measurement. In ideal_model mode the control law
+    uses the true plant f and g and adaptation is frozen (diagnostic
+    configuration for checking the Lyapunov decrement).
     """
     n_steps = cfg.n_steps
     dyn = plant.pendulum(cfg.plant, d0=cfg.disturbance.d0, omega_d=cfg.disturbance.omega)
@@ -104,9 +102,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
     a_c = afhc.companion(cfg.controller.k)
     p = afhc.solve_lyapunov(a_c, cfg.controller.q)
 
-    sense_x1 = netchan.Channel(cfg.sensor_channel)
-    sense_x2 = netchan.Channel(dataclasses.replace(cfg.sensor_channel,
-                                                   initial_value=float(cfg.x0[1])))
+    sensor = netchan.Channel(cfg.sensor_channel)
     actuator = netchan.Channel(cfg.actuator_channel)
 
     cols = {name: np.empty(n_steps) for name in
@@ -124,9 +120,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
     for i in range(n_steps):
         t = i * cfg.dt
 
-        sample = sense_x1.push(t, float(x[0]))
-        sense_x2.push(t, float(x[1]))
-        x_meas = np.array([sense_x1.output(t), sense_x2.output(t)])
+        drop_sense = sensor.push(t, tuple(x))
+        x_meas = np.array(sensor.output(t))
 
         ref = reference_derivatives(cfg.reference.amplitude, cfg.reference.frequency,
                                     t, dyn.n)
@@ -148,7 +143,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
             abort_reason = str(exc)
             break
 
-        drop_act = actuator.push(t, u).dropped
+        drop_act = actuator.push(t, u)
         u_applied = actuator.output(t)
 
         cols["t"][i] = t
@@ -163,7 +158,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
         cols["g_hat"][i] = g_hat
         cols["v"][i] = float(e_filtered @ p.P @ e_filtered)
         cols["u_aux"][i] = afhc.h_infinity_term(p, e_filtered, cfg.controller.r)
-        drop_sensor[i] = sample.dropped
+        drop_sensor[i] = drop_sense
         drop_actuator[i] = drop_act
         steps_done = i + 1
 

@@ -181,13 +181,12 @@ def freq_response(ss: StateSpaceModel, omega: float) -> np.ndarray:
 
     Raises FrequencyAtPoleError when jw is (numerically) an eigenvalue of A.
     """
-    if ss.n_states == 0:
-        return ss.D.astype(complex)
-    m = 1j * float(omega) * np.eye(ss.n_states) - ss.A
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[-1] <= 1e-12 * max(sv[0], 1.0):
-        raise FrequencyAtPoleError(f"frequency at pole: omega={omega!r}")
-    return ss.C @ np.linalg.solve(m, ss.B.astype(complex)) + ss.D
+    if ss.n_states:
+        m = 1j * float(omega) * np.eye(ss.n_states) - ss.A
+        sv = np.linalg.svd(m, compute_uv=False)
+        if sv[-1] <= 1e-12 * max(sv[0], 1.0):
+            raise FrequencyAtPoleError(f"frequency at pole: omega={omega!r}")
+    return _response(ss.A, ss.B, ss.C, ss.D, float(omega))
 
 
 def is_stable(ss: StateSpaceModel) -> bool:

@@ -9,14 +9,13 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 __all__ = [
     "ChannelConfig",
-    "TimedSample",
     "Channel",
-    "write_event_log",
     "check_step_multiple",
 ]
 
@@ -25,17 +24,14 @@ __all__ = [
 class ChannelConfig:
     delay: float = 0.0
     drop_prob: float = 0.0
-    sample_period: float = 0.001
     seed: int = 0
-    initial_value: float = 0.0
+    initial_value: Any = 0.0
 
     def __post_init__(self):
-        if self.delay < 0:
-            raise ValueError("delay must be nonnegative")
+        if not 0.0 <= self.delay < math.inf:
+            raise ValueError("delay must be finite and nonnegative")
         if not 0.0 <= self.drop_prob < 1.0:
             raise ValueError("drop_prob must lie in [0, 1)")
-        if not self.sample_period > 0:
-            raise ValueError("sample_period must be positive")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
@@ -48,35 +44,31 @@ def check_step_multiple(value: float, dt: float, name: str) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class TimedSample:
-    send_time: float
-    value: float
-    dropped: bool
-
-
 class Channel:
     """Sequential delay line owned by one simulation loop.
 
-    push() logs every offered sample with its Bernoulli drop decision and
+    push() draws the Bernoulli drop decision for an offered payload and
     enqueues survivors for delivery at send_time + delay; output() returns
-    the most recently delivered value, or the configured initial value while
-    the pipeline is still empty.
+    the most recently delivered payload, or the configured initial value
+    while the pipeline is still empty. Payloads are passed through as given.
     """
 
     def __init__(self, config: ChannelConfig):
         self.config = config
         self._rng = np.random.default_rng(int(config.seed))
-        self._pending: deque[tuple[float, float]] = deque()
-        self._held = float(config.initial_value)
+        self._pending: deque = deque()
+        self._held = config.initial_value
         self._last_push = -math.inf
         self._last_query = -math.inf
-        # Delivery comparisons tolerate float noise well below one sample.
-        self._time_eps = config.sample_period * 1e-6
-        self.log: list[TimedSample] = []
+        # Delivery comparisons tolerate float noise in send_time + delay; the
+        # slack stays under half a push interval for delays below 5e5 pushes.
+        self._time_eps = 1e-6 * config.delay
 
-    def push(self, t: float, value: float) -> TimedSample:
-        """Offer a sample at send time t (strictly increasing across pushes)."""
+    def push(self, t: float, value) -> bool:
+        """Offer a payload at send time t (strictly increasing across pushes).
+
+        Returns True when the payload is dropped.
+        """
         t = float(t)
         if t <= self._last_push:
             raise ValueError(
@@ -84,13 +76,11 @@ class Channel:
         self._last_push = t
         dropped = bool(self._rng.random() < self.config.drop_prob)
         if not dropped:
-            self._pending.append((t, float(value)))
-        sample = TimedSample(send_time=t, value=float(value), dropped=dropped)
-        self.log.append(sample)
-        return sample
+            self._pending.append((t, value))
+        return dropped
 
-    def output(self, t: float) -> float:
-        """Receiver-side value at time t (nondecreasing across queries)."""
+    def output(self, t: float):
+        """Receiver-side payload at time t (nondecreasing across queries)."""
         t = float(t)
         if t < self._last_query:
             raise ValueError(
@@ -99,17 +89,3 @@ class Channel:
         while self._pending and self._pending[0][0] + self.config.delay <= t + self._time_eps:
             self._held = self._pending.popleft()[1]
         return self._held
-
-
-def write_event_log(channel: Channel, path) -> None:
-    """Export the channel's sample log as CSV.
-
-    Columns: send_time, value, dropped (0/1), delivery_time (nan for drops).
-    """
-    lines = ["send_time,value,dropped,delivery_time"]
-    for sample in channel.log:
-        delivery = math.nan if sample.dropped else sample.send_time + channel.config.delay
-        lines.append(f"{sample.send_time:.9e},{sample.value:.9e},"
-                     f"{int(sample.dropped)},{delivery:.9e}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -123,8 +123,7 @@ def test_criterion_7_channel_correctness():
     dt = 0.001
     k = 20
     ch = netchan.Channel(netchan.ChannelConfig(delay=k * dt, drop_prob=0.0,
-                                               sample_period=dt, seed=3,
-                                               initial_value=0.0))
+                                               seed=3, initial_value=0.0))
     values = np.sin(np.arange(500) * 0.1)
     outs = []
     for i, v in enumerate(values):
@@ -134,9 +133,8 @@ def test_criterion_7_channel_correctness():
     assert np.all(np.asarray(outs[:k]) == 0.0)
 
     def drop_flags(seed, prob, n):
-        ch = netchan.Channel(netchan.ChannelConfig(drop_prob=prob, sample_period=dt,
-                                                   seed=seed))
-        return [ch.push(i * dt, 0.0).dropped for i in range(n)]
+        ch = netchan.Channel(netchan.ChannelConfig(drop_prob=prob, seed=seed))
+        return [ch.push(i * dt, 0.0) for i in range(n)]
 
     assert drop_flags(99, 0.5, 5000) == drop_flags(99, 0.5, 5000)
     assert drop_flags(99, 0.5, 5000) == (np.random.default_rng(99).random(5000) < 0.5).tolist()

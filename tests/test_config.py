@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,10 +74,16 @@ def test_missing_equals_rejected():
     ("fuzzy.lo = 1, 1\nfuzzy.hi = -1, -1", "lo < hi"),
     ("plant.x0 = 1", "x0"),
     ("plant.pole_mass = -0.1", "positive"),
+    ("duration = 5\ncontroller.r = -1", r"'controller\.r' \(config line 2\)"),
+    ("duration = 5\ncontroller.u_max = -5", r"'controller\.u_max' \(config line 2\)"),
+    ("duration = 5\n\nplant.pole_mass = -0.1", r"'plant\.pole_mass' \(config line 3\)"),
+    ("duration = 5\nactuator_channel.delay = 0.0205",
+     r"'actuator_channel\.delay' \(config line 2\)"),
 ])
 def test_invariant_violations_rejected(text, match):
-    with pytest.raises(config.ConfigError, match=match):
+    with pytest.raises(config.ConfigError, match=match) as excinfo:
         config.parse_config(text)
+    assert re.search(r"'[\w.]+' \(config line \d+\)", str(excinfo.value))
 
 
 def test_filter_alpha_auto_resolution():
@@ -95,10 +102,10 @@ def test_channel_seeds_derived_from_master_seed():
     assert cfg.sensor_channel.seed == 7
 
 
-def test_sample_period_defaults_to_dt():
-    cfg = config.parse_config("dt = 0.002")
-    assert cfg.sensor_channel.sample_period == 0.002
-    assert cfg.actuator_channel.sample_period == 0.002
+def test_sample_period_key_rejected():
+    with pytest.raises(config.ConfigError,
+                       match=r"line 2: unknown key 'sensor_channel\.sample_period'"):
+        config.parse_config("duration = 5\nsensor_channel.sample_period = 0.001\n")
 
 
 def test_networked_preset():
