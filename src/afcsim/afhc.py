@@ -158,42 +158,38 @@ class ControllerConfig:
         return self.k.size
 
 
-def filter_error(e_prev_filtered, e_raw, filter_alpha: float) -> np.ndarray:
+def filter_error(e_prev_filtered, e_raw, filter_alpha: float) -> tuple:
     """One step of componentwise exponential smoothing of the error vector.
 
-    filter_alpha = 1 disables the filter (output equals the raw error).
+    filter_alpha = 1 disables the filter (output equals the raw error). The
+    coefficient is checked once, by ControllerConfig; returns a tuple.
     """
-    if not 0.0 < filter_alpha <= 1.0:
-        raise ValueError("filter_alpha must lie in (0, 1]")
-    prev = np.asarray(e_prev_filtered, dtype=float)
-    raw = np.asarray(e_raw, dtype=float)
-    return (1.0 - filter_alpha) * prev + filter_alpha * raw
+    keep = 1.0 - filter_alpha
+    return tuple([keep * prev + filter_alpha * raw
+                  for prev, raw in zip(e_prev_filtered, e_raw)])
 
 
 def h_infinity_term(p: LyapunovMatrix, e_vec, r: float) -> float:
     """Auxiliary control u_a = (1/r) B^T P E with B the last unit vector."""
-    e = np.asarray(e_vec, dtype=float).reshape(-1)
-    return float(p.P[-1, :] @ e) / r
+    return float(p.P[-1, :] @ e_vec) / r
 
 
 def control_law(cfg: ControllerConfig, p: LyapunovMatrix, f_hat: float,
                 g_hat: float, e_vec, ydn: float) -> float:
     """Certainty-equivalence control, saturated to [-u_max, u_max].
 
-    ydn is the n-th derivative of the reference. Raises SingularControlError
-    if |g_hat| sits below g_min despite projection.
+    ydn is the n-th derivative of the reference and e_vec an error vector of
+    length cfg.order. Raises SingularControlError if |g_hat| sits below g_min
+    despite projection.
     """
     # Slack of a few ulps: theta_g at the floor gives g_hat = g_min only up to
     # rounding in the convex combination, which must not count as singular.
     if abs(g_hat) < cfg.g_min * (1.0 - 1e-9):
         raise SingularControlError(
             f"singular control: |g_hat|={abs(g_hat):.3e} < g_min={cfg.g_min:.3e}")
-    e = np.asarray(e_vec, dtype=float).reshape(-1)
-    if e.size != cfg.order:
-        raise ValueError(f"error vector has length {e.size}, expected {cfg.order}")
-    u_a = h_infinity_term(p, e, cfg.r)
-    u = (-f_hat + ydn + float(cfg.k @ e) + u_a) / g_hat
-    return float(np.clip(u, -cfg.u_max, cfg.u_max))
+    u_a = h_infinity_term(p, e_vec, cfg.r)
+    u = (-f_hat + ydn + float(cfg.k @ e_vec) + u_a) / g_hat
+    return min(max(u, -cfg.u_max), cfg.u_max)
 
 
 def project_theta_g(approx_g: FuzzyApproximator, g_min: float) -> np.ndarray:
@@ -217,11 +213,7 @@ def adapt_step(approx_f: FuzzyApproximator, approx_g: FuzzyApproximator,
     the applied control u, then projects theta_g onto [g_min, inf). Returns
     the (theta_f, theta_g) arrays.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    e = np.asarray(e_vec, dtype=float).reshape(-1)
-    s = float(p.P[-1, :] @ e)
+    s = float(p.P[-1, :] @ e_vec)
     approx_f.theta += dt * (-cfg.gamma_f * s) * xi
     approx_g.theta += dt * (-cfg.gamma_g * s * u) * xi
     project_theta_g(approx_g, cfg.g_min)

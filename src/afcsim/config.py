@@ -37,7 +37,8 @@ Schema (defaults in parentheses):
                                     auto = 0.2 if any channel delay > 0 else 1.0
     fuzzy.lo (-pi/6, -1)            grid box lower corner
     fuzzy.hi (pi/6, 1)              grid box upper corner
-    fuzzy.counts (5, 5)             memberships per dimension
+    fuzzy.counts (5, 5)             memberships per dimension; at most
+                                    MAX_RULES rules in all
     fuzzy.width_scale (1.0)         width = scale * center spacing
     fuzzy.theta_g_init (1.0)        initial theta_g entries (>= g_min)
 """
@@ -66,6 +67,10 @@ __all__ = [
 ]
 
 MAX_STEPS = 10_000_000
+# Largest fuzzy grid (the product of fuzzy.counts). Every control step
+# evaluates and adapts every rule, so the bound keeps a typo from allocating
+# gigabytes.
+MAX_RULES = 1_000_000
 
 PRESETS = {
     "nominal": "",
@@ -318,13 +323,15 @@ def build_config(sources: list) -> ExperimentConfig:
 
     lo = np.asarray(values["fuzzy.lo"], dtype=float)
     hi = np.asarray(values["fuzzy.hi"], dtype=float)
-    counts = np.asarray(values["fuzzy.counts"], dtype=int)
-    _require(lo.size == 2 and hi.size == 2 and counts.size == 2, "fuzzy.lo",
+    counts = values["fuzzy.counts"]
+    _require(lo.size == 2 and hi.size == 2 and len(counts) == 2, "fuzzy.lo",
              where["fuzzy.lo"], "fuzzy.lo/hi/counts must each have 2 entries")
     _require(bool(np.all(hi > lo)), "fuzzy.lo", where["fuzzy.lo"],
              "must satisfy lo < hi componentwise")
-    _require(bool(np.all(counts >= 1)), "fuzzy.counts", where["fuzzy.counts"],
-             "must be >= 1")
+    _require(min(counts) >= 1, "fuzzy.counts", where["fuzzy.counts"], "must be >= 1")
+    _require(math.prod(counts) <= MAX_RULES, "fuzzy.counts", where["fuzzy.counts"],
+             f"the rule count (their product) must not exceed {MAX_RULES}")
+    counts = np.asarray(counts, dtype=int)
     _require(values["fuzzy.width_scale"] > 0, "fuzzy.width_scale",
              where["fuzzy.width_scale"], "must be positive")
     _require(values["fuzzy.theta_g_init"] >= controller.g_min, "fuzzy.theta_g_init",

@@ -68,13 +68,12 @@ class MembershipGrid:
         per-dimension products normalized over all rules. Computed in the log
         domain so far-from-grid inputs cannot underflow the normalizer.
         """
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.size != self.dim:
-            raise ValueError(f"input has dimension {x.size}, grid expects {self.dim}")
-        log_rule = np.zeros(())
+        if len(x) != self.dim:
+            raise ValueError(f"input has dimension {len(x)}, grid expects {self.dim}")
+        log_rule = None
         for xi, c, w in zip(x, self.centers, self.widths):
             z = (xi - c) / w
-            log_rule = log_rule[..., None] + (-z * z)
+            log_rule = -z * z if log_rule is None else log_rule[..., None] + (-z * z)
         flat = log_rule.reshape(-1)
         flat = np.exp(flat - flat.max())
         return flat / flat.sum()

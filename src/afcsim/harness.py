@@ -33,6 +33,8 @@ TRACE_HEADER = "t,x1,x2,xd,e,e_filt,u,u_applied,f_hat,g_hat,V,drop_sensor,drop_a
 # Fraction of the horizon treated as steady state for the error metric.
 STEADY_STATE_FRACTION = 0.2
 
+TRACE_BLOCK_ROWS = 4096
+
 
 @dataclass(eq=False)
 class SimulationTrace:
@@ -75,13 +77,10 @@ class Metrics:
 
 
 def reference_derivatives(amplitude: float, frequency: float, t: float,
-                          n: int) -> np.ndarray:
-    """Reference A sin(w t) and its first n derivatives, length n + 1."""
-    out = np.empty(n + 1)
-    for k in range(n + 1):
-        phase = frequency * t + k * (math.pi / 2.0)
-        out[k] = amplitude * (frequency ** k) * math.sin(phase)
-    return out
+                          n: int) -> tuple:
+    """Reference A sin(w t) and its first n derivatives, a tuple of n + 1."""
+    return tuple([amplitude * (frequency ** k) * math.sin(frequency * t + k * (math.pi / 2.0))
+                  for k in range(n + 1)])
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple:
@@ -111,7 +110,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
     drop_sensor = np.zeros(n_steps, dtype=bool)
     drop_actuator = np.zeros(n_steps, dtype=bool)
 
-    x = cfg.x0.copy()
+    n = dyn.n
+    x = tuple(cfg.x0.tolist())
     alpha = cfg.controller.filter_alpha
     e_filtered = None
     abort_reason = None
@@ -120,14 +120,16 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
     for i in range(n_steps):
         t = i * cfg.dt
 
-        drop_sense = sensor.push(t, tuple(x))
-        x_meas = np.array(sensor.output(t))
+        drop_sense = sensor.push(t, x)
+        x_meas = sensor.output(t)
 
-        ref = reference_derivatives(cfg.reference.amplitude, cfg.reference.frequency,
-                                    t, dyn.n)
-        e_raw = ref[:dyn.n] - x_meas
+        ref = reference_derivatives(cfg.reference.amplitude, cfg.reference.frequency, t, n)
+        e_raw = tuple([r - m for r, m in zip(ref, x_meas)])
         e_filtered = e_raw if e_filtered is None else afhc.filter_error(
             e_filtered, e_raw, alpha)
+        # the small dot products stay numpy calls: the trace bytes depend on
+        # the BLAS dot kernel's rounding (see README)
+        e_vec = np.array(e_filtered)
 
         xi = grid.regressor(x_meas)
         if cfg.ideal_model:
@@ -138,7 +140,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
             g_hat = float(approx_g.theta @ xi)
 
         try:
-            u = afhc.control_law(cfg.controller, p, f_hat, g_hat, e_filtered, ref[dyn.n])
+            u = afhc.control_law(cfg.controller, p, f_hat, g_hat, e_vec, ref[n])
         except afhc.SingularControlError as exc:
             abort_reason = str(exc)
             break
@@ -156,8 +158,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
         cols["u_applied"][i] = u_applied
         cols["f_hat"][i] = f_hat
         cols["g_hat"][i] = g_hat
-        cols["v"][i] = float(e_filtered @ p.P @ e_filtered)
-        cols["u_aux"][i] = afhc.h_infinity_term(p, e_filtered, cfg.controller.r)
+        cols["v"][i] = float(e_vec @ p.P @ e_vec)
+        cols["u_aux"][i] = afhc.h_infinity_term(p, e_vec, cfg.controller.r)
         drop_sensor[i] = drop_sense
         drop_actuator[i] = drop_act
         steps_done = i + 1
@@ -169,7 +171,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
             break
 
         if not cfg.ideal_model:
-            afhc.adapt_step(approx_f, approx_g, xi, e_filtered, p, u,
+            afhc.adapt_step(approx_f, approx_g, xi, e_vec, p, u,
                             cfg.controller, cfg.dt)
 
     if steps_done == 0:
@@ -226,19 +228,19 @@ def write_trace(trace: SimulationTrace, path) -> None:
     """Write the trace as CSV with a fixed header and 0/1 drop flags.
 
     Values are formatted in scientific notation with 10 significant digits.
+    Rows are formatted in blocks of TRACE_BLOCK_ROWS, so the Python objects
+    alive at once do not grow with the trace length.
     """
-    lines = [TRACE_HEADER]
-    for i in range(len(trace)):
-        lines.append(",".join([
-            f"{trace.t[i]:.9e}", f"{trace.x1[i]:.9e}", f"{trace.x2[i]:.9e}",
-            f"{trace.xd[i]:.9e}", f"{trace.e[i]:.9e}", f"{trace.e_filt[i]:.9e}",
-            f"{trace.u[i]:.9e}", f"{trace.u_applied[i]:.9e}",
-            f"{trace.f_hat[i]:.9e}", f"{trace.g_hat[i]:.9e}", f"{trace.v[i]:.9e}",
-            str(int(trace.drop_sensor[i])), str(int(trace.drop_actuator[i])),
-        ]))
+    row = ",".join(["%.9e"] * 11 + ["%d", "%d"]) + "\n"
+    columns = (trace.t, trace.x1, trace.x2, trace.xd, trace.e, trace.e_filt, trace.u,
+               trace.u_applied, trace.f_hat, trace.g_hat, trace.v,
+               trace.drop_sensor, trace.drop_actuator)
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(TRACE_HEADER + "\n")
+            for start in range(0, len(trace), TRACE_BLOCK_ROWS):
+                block = [c[start:start + TRACE_BLOCK_ROWS].tolist() for c in columns]
+                fh.write("".join([row % values for values in zip(*block)]))
     except OSError as exc:
         raise OSError(f"failed to write trace to {path}: {exc}") from exc
 

@@ -37,8 +37,12 @@ class ChannelConfig:
 
 
 def check_step_multiple(value: float, dt: float, name: str) -> int:
-    """Validate that value is an exact nonnegative multiple of dt; return it."""
-    k = round(value / dt)
+    """Validate that value is an exact nonnegative multiple of dt; return the
+    multiple."""
+    steps = value / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"{name} ({value!r}) is not a finite number of steps of dt ({dt!r})")
+    k = round(steps)
     if k < 0 or abs(value - k * dt) > 1e-9 * dt:
         raise ValueError(f"{name} ({value!r}) must be an exact multiple of dt ({dt!r})")
     return k

@@ -61,13 +61,14 @@ class PlantModel:
     """Order-n chain-of-integrators plant with drift f, input gain g, and
     disturbance d(t).
 
-    g_floor declares the positive lower bound |g(x)| >= g_floor assumed to
-    hold on the intended operating region; it is not enforced pointwise.
+    f and g receive the state as a tuple of n floats. g_floor declares the
+    positive lower bound |g(x)| >= g_floor assumed to hold on the intended
+    operating region; it is not enforced pointwise.
     """
 
     n: int
-    f: Callable[[np.ndarray], float]
-    g: Callable[[np.ndarray], float]
+    f: Callable[[tuple], float]
+    g: Callable[[tuple], float]
     d: Callable[[float], float]
     g_floor: float = 0.0
 
@@ -84,10 +85,7 @@ def _pendulum_denominator(params: PendulumParams, x1: float) -> float:
     return params.half_length * (4.0 / 3.0 - params.pole_mass * cos1 * cos1 / total)
 
 
-def pendulum_f(params: PendulumParams, x) -> float:
-    """Drift acceleration of the pole angle for the cart-pole benchmark."""
-    x = state_vec(x, 2)
-    x1, x2 = x
+def _pendulum_f(params: PendulumParams, x1: float, x2: float) -> float:
     total = params.cart_mass + params.pole_mass
     sin1 = math.sin(x1)
     cos1 = math.cos(x1)
@@ -96,12 +94,21 @@ def pendulum_f(params: PendulumParams, x) -> float:
     return num / _pendulum_denominator(params, x1)
 
 
+def _pendulum_g(params: PendulumParams, x1: float) -> float:
+    total = params.cart_mass + params.pole_mass
+    num = math.cos(x1) / total
+    return num / _pendulum_denominator(params, x1)
+
+
+def pendulum_f(params: PendulumParams, x) -> float:
+    """Drift acceleration of the pole angle for the cart-pole benchmark."""
+    x1, x2 = state_vec(x, 2).tolist()
+    return _pendulum_f(params, x1, x2)
+
+
 def pendulum_g(params: PendulumParams, x) -> float:
     """Input gain from applied force to pole-angle acceleration."""
-    x = state_vec(x, 2)
-    total = params.cart_mass + params.pole_mass
-    num = math.cos(x[0]) / total
-    return num / _pendulum_denominator(params, x[0])
+    return _pendulum_g(params, state_vec(x, 2).tolist()[0])
 
 
 def pendulum(params: PendulumParams = PendulumParams(),
@@ -110,14 +117,15 @@ def pendulum(params: PendulumParams = PendulumParams(),
     """Two-state pole-balancing plant with sinusoidal disturbance d0 sin(w t).
 
     The default g_floor of 0.5 holds for |x1| <= pi/3 with the default
-    parameters.
+    parameters. f and g take any indexable state and skip the validation of
+    pendulum_f and pendulum_g: the integrator checks each stage instead.
     """
 
-    def f(x: np.ndarray) -> float:
-        return pendulum_f(params, x)
+    def f(x) -> float:
+        return _pendulum_f(params, x[0], x[1])
 
-    def g(x: np.ndarray) -> float:
-        return pendulum_g(params, x)
+    def g(x) -> float:
+        return _pendulum_g(params, x[0])
 
     def d(t: float) -> float:
         return d0 * math.sin(omega_d * t)
@@ -125,40 +133,43 @@ def pendulum(params: PendulumParams = PendulumParams(),
     return PlantModel(n=2, f=f, g=g, d=d, g_floor=g_floor)
 
 
-def _chain(plant: PlantModel, x: np.ndarray, u_applied: float,
-           d_value: float) -> np.ndarray:
-    out = np.empty(plant.n)
-    out[:-1] = x[1:]
-    # overflow to inf/nan is expected on divergence and reported as an error
-    with np.errstate(all="ignore"):
-        out[-1] = plant.f(x) + plant.g(x) * u_applied + d_value
-    if not np.all(np.isfinite(out)):
+def _stage(plant: PlantModel, x: tuple, u_applied: float, d_value: float) -> tuple:
+    """(x2, ..., xn, f(x) + g(x) u + d) at the state tuple x."""
+    top = plant.f(x) + plant.g(x) * u_applied + d_value
+    if not math.isfinite(top):
         raise DynamicsOverflowError("dynamics overflow: non-finite derivative")
-    return out
+    return x[1:] + (top,)
 
 
 def chain_derivative(plant: PlantModel, x, u_applied: float, t: float) -> np.ndarray:
     """Time derivative (x2, ..., xn, f(x) + g(x) u + d(t)) of the chain."""
-    x = state_vec(x, plant.n)
-    return _chain(plant, x, u_applied, plant.d(t))
+    x = tuple(state_vec(x, plant.n).tolist())
+    return np.array(_stage(plant, x, u_applied, plant.d(t)))
 
 
 def rk4_step(plant: PlantModel, x, u_applied: float, t: float,
-             dt: float) -> np.ndarray:
-    """Classical fourth-order Runge-Kutta advance by dt.
+             dt: float) -> tuple:
+    """Classical fourth-order Runge-Kutta advance by dt; returns the new state
+    as a tuple of floats.
 
+    x is any sequence of plant.n finite floats; it is not re-validated here.
     Both the applied input and the disturbance value d(t) are held constant
-    over the step (zero-order hold), matching sampled actuation.
+    over the step (zero-order hold), matching sampled actuation. The stages
+    are evaluated componentwise in the order of the vector form
+    x + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), so results are bit-identical to it.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    x = state_vec(x, plant.n)
+    x = tuple(x)
     d_value = plant.d(t)
-    k1 = _chain(plant, x, u_applied, d_value)
-    k2 = _chain(plant, x + 0.5 * dt * k1, u_applied, d_value)
-    k3 = _chain(plant, x + 0.5 * dt * k2, u_applied, d_value)
-    k4 = _chain(plant, x + dt * k3, u_applied, d_value)
-    out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
+    half = 0.5 * dt
+    k1 = _stage(plant, x, u_applied, d_value)
+    k2 = _stage(plant, tuple([a + half * k for a, k in zip(x, k1)]), u_applied, d_value)
+    k3 = _stage(plant, tuple([a + half * k for a, k in zip(x, k2)]), u_applied, d_value)
+    k4 = _stage(plant, tuple([a + dt * k for a, k in zip(x, k3)]), u_applied, d_value)
+    sixth = dt / 6.0
+    out = tuple([a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)])
+    if not all(map(math.isfinite, out)):
         raise DynamicsOverflowError("dynamics overflow: non-finite state")
     return out

@@ -154,6 +154,25 @@ def test_h_infinity_term_formula():
     assert afhc.h_infinity_term(P_DEFAULT, e, 0.25) == pytest.approx(expected, rel=1e-14)
 
 
+def test_step_functions_bit_identical_to_array_forms():
+    # the scalar forms must round exactly like the numpy expressions they
+    # replaced: (1 - a) * prev + a * raw on arrays, and np.clip on u
+    rng = np.random.default_rng(8)
+    cfg = afhc.ControllerConfig(u_max=50.0)
+    for _ in range(3000):
+        prev, raw = rng.normal(size=2), rng.normal(size=2)
+        alpha = float(rng.uniform(1e-3, 1.0))
+        new = np.array(afhc.filter_error(tuple(prev.tolist()), tuple(raw.tolist()), alpha))
+        assert new.tobytes() == ((1.0 - alpha) * prev + alpha * raw).tobytes()
+        f_hat, g_hat, ydn = (float(v) for v in rng.normal(scale=30.0, size=3))
+        g_hat = abs(g_hat) + cfg.g_min
+        u = afhc.control_law(cfg, P_DEFAULT, f_hat, g_hat, raw, ydn)
+        unclipped = (-f_hat + ydn + float(cfg.k @ raw)
+                     + float(P_DEFAULT.P[-1, :] @ raw) / cfg.r) / g_hat
+        expected = np.clip(unclipped, -cfg.u_max, cfg.u_max)
+        assert type(u) is float and np.float64(u).tobytes() == expected.tobytes()
+
+
 # ------------------------------------------------------------ adaptation laws
 
 def test_adapt_frozen_at_zero_error():

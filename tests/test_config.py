@@ -79,6 +79,12 @@ def test_missing_equals_rejected():
     ("duration = 5\n\nplant.pole_mass = -0.1", r"'plant\.pole_mass' \(config line 3\)"),
     ("duration = 5\nactuator_channel.delay = 0.0205",
      r"'actuator_channel\.delay' \(config line 2\)"),
+    ("duration = 5\nactuator_channel.delay = 1e308",
+     r"'actuator_channel\.delay' \(config line 2\)"),
+    ("duration = 5\nfuzzy.counts = 100000000000000000000, 2",
+     r"'fuzzy\.counts' \(config line 2\)"),
+    ("duration = 5\nfuzzy.counts = 100000, 100000",
+     r"'fuzzy\.counts' \(config line 2\)"),
 ])
 def test_invariant_violations_rejected(text, match):
     with pytest.raises(config.ConfigError, match=match) as excinfo:

@@ -107,6 +107,29 @@ def test_regressor_translation_consistency(point, shift):
     assert np.allclose(g.regressor(x), shifted.regressor(x + shift), atol=1e-12)
 
 
+def seeded_regressor(grid, x):
+    """The regressor's log-domain loop as it read with a zero-d seed array."""
+    log_rule = np.zeros(())
+    for xi, c, w in zip(np.asarray(x, dtype=float), grid.centers, grid.widths):
+        z = (xi - c) / w
+        log_rule = log_rule[..., None] + (-z * z)
+    flat = log_rule.reshape(-1)
+    flat = np.exp(flat - flat.max())
+    return flat / flat.sum()
+
+
+@pytest.mark.parametrize("counts", [[5, 5], [15, 15], [3, 4, 2], [7]])
+def test_regressor_bit_identical_to_seeded_loop(counts):
+    rng = np.random.default_rng(len(counts) * 100 + counts[0])
+    dim = len(counts)
+    grid = fuzzy.grid_over_box([-1.0] * dim, [1.0] * dim, counts, 1.0)
+    points = rng.uniform(-3.0, 3.0, size=(2000, dim))
+    points[:50] = 0.0                       # exact centers give zero exponents
+    points[50:100] *= 300.0                 # far outside the box
+    for x in points.tolist():
+        assert grid.regressor(x).tobytes() == seeded_regressor(grid, x).tobytes()
+
+
 # ------------------------------------------------------------------- evaluate
 
 def test_zero_theta_evaluates_to_zero():

@@ -165,3 +165,84 @@ def test_rk4_fourth_order_error_reduction():
     errors = [_decay_error(dt) for dt in (0.1, 0.05, 0.025)]
     for coarse, fine in zip(errors, errors[1:]):
         assert 14.0 <= coarse / fine <= 18.0
+
+
+# ------------------------------------------- bit identity with the vector form
+
+def _vector_chain(pl, x, u_applied, d_value):
+    out = np.empty(pl.n)
+    out[:-1] = x[1:]
+    out[-1] = pl.f(x) + pl.g(x) * u_applied + d_value
+    return out
+
+
+def vector_rk4(pl, x, u_applied, t, dt):
+    """RK4 on numpy state arrays, in the arithmetic order the scalar kernel
+    must reproduce: x + 0.5 * dt * k1, ..., x + (dt / 6) (k1 + 2 k2 + 2 k3 + k4)."""
+    x = np.array(x, dtype=float)
+    d_value = pl.d(t)
+    k1 = _vector_chain(pl, x, u_applied, d_value)
+    k2 = _vector_chain(pl, x + 0.5 * dt * k1, u_applied, d_value)
+    k3 = _vector_chain(pl, x + 0.5 * dt * k2, u_applied, d_value)
+    k4 = _vector_chain(pl, x + dt * k3, u_applied, d_value)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def vector_pendulum(params, d0, omega_d):
+    """The cart-pole formulas on array states, written out independently."""
+    total = params.cart_mass + params.pole_mass
+
+    def denominator(x1):
+        cos1 = math.cos(x1)
+        return params.half_length * (4.0 / 3.0 - params.pole_mass * cos1 * cos1 / total)
+
+    def f(x):
+        x1, x2 = x
+        sin1, cos1 = math.sin(x1), math.cos(x1)
+        num = (params.gravity * sin1
+               - params.pole_mass * params.half_length * x2 * x2 * cos1 * sin1 / total)
+        return num / denominator(x1)
+
+    def g(x):
+        return math.cos(x[0]) / total / denominator(x[0])
+
+    return plant.PlantModel(n=2, f=f, g=g, d=lambda t: d0 * math.sin(omega_d * t))
+
+
+def test_rk4_bit_identical_to_vector_form_on_random_states():
+    rng = np.random.default_rng(2024)
+    n_cases = 5000
+    new = np.empty((n_cases, 2))
+    old = np.empty((n_cases, 2))
+    for i in range(n_cases):
+        params = plant.PendulumParams(*rng.uniform(0.05, 2.0, size=3).tolist(), gravity=9.8)
+        d0, omega = float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.0, 5.0))
+        fast = plant.pendulum(params, d0=d0, omega_d=omega)
+        x = (float(rng.uniform(-1.5, 1.5)), float(rng.uniform(-5.0, 5.0)))
+        u, t = float(rng.uniform(-200.0, 200.0)), float(rng.uniform(0.0, 30.0))
+        dt = float(10.0 ** rng.uniform(-4.0, -1.5))
+        out = plant.rk4_step(fast, x, u, t, dt)
+        assert type(out) is tuple and all(type(v) is float for v in out)
+        new[i] = out
+        old[i] = vector_rk4(vector_pendulum(params, d0, omega), x, u, t, dt)
+    assert new.tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_rk4_bit_identical_to_vector_form_for_other_orders(n):
+    rng = np.random.default_rng(n)
+    pl = plant.PlantModel(n=n, f=lambda x: -math.sin(x[0]) - 0.3 * x[-1],
+                          g=lambda x: 1.0 + 0.5 * math.cos(x[0]),
+                          d=lambda t: 0.2 * math.sin(3.0 * t))
+    for _ in range(200):
+        x = rng.uniform(-2.0, 2.0, size=n)
+        u, t = float(rng.uniform(-10.0, 10.0)), float(rng.uniform(0.0, 10.0))
+        out = np.array(plant.rk4_step(pl, tuple(x.tolist()), u, t, 0.01))
+        assert out.tobytes() == vector_rk4(pl, x, u, t, 0.01).tobytes()
+
+
+def test_rk4_overflowing_state_aborts():
+    # every stage derivative is finite; only the new state overflows
+    steep = plant.PlantModel(n=1, f=lambda x: 1e308, g=lambda x: 0.0, d=lambda t: 0.0)
+    with pytest.raises(plant.DynamicsOverflowError, match="non-finite state"):
+        plant.rk4_step(steep, (1.7e308,), 0.0, 0.0, 1.0)
