@@ -289,10 +289,13 @@ def build_config(sources: list) -> ExperimentConfig:
     seed = values["seed"]
     _require(0 <= seed < 2 ** 64, "seed", where["seed"],
              "must be a 64-bit unsigned integer")
-    _require(values["reference.amplitude"] >= 0, "reference.amplitude",
-             where["reference.amplitude"], "must be nonnegative")
-    _require(values["reference.frequency"] >= 0, "reference.frequency",
-             where["reference.frequency"], "must be nonnegative")
+    amplitude, frequency = values["reference.amplitude"], values["reference.frequency"]
+    for key, value in (("reference.amplitude", amplitude), ("reference.frequency", frequency)):
+        _require(0 <= value < math.inf, key, where[key], "must be finite and nonnegative")
+    # harness.reference_derivatives computes amplitude * frequency ** k for k <= 2; the
+    # product is inf, or NaN for amplitude 0, once frequency ** 2 alone overflows
+    _require(amplitude * (frequency * frequency) < math.inf, "reference.frequency",
+             where["reference.frequency"], "amplitude * frequency ** 2 overflows")
 
     with _reported("plant", where):
         params = PendulumParams(cart_mass=values["plant.cart_mass"],

@@ -85,6 +85,15 @@ def test_missing_equals_rejected():
      r"'fuzzy\.counts' \(config line 2\)"),
     ("duration = 5\nfuzzy.counts = 100000, 100000",
      r"'fuzzy\.counts' \(config line 2\)"),
+    ("duration = 5\nreference.amplitude = inf", r"'reference\.amplitude' \(config line 2\)"),
+    ("duration = 5\nreference.amplitude = nan", r"'reference\.amplitude' \(config line 2\)"),
+    ("duration = 5\nreference.frequency = inf", r"'reference\.frequency' \(config line 2\)"),
+    ("duration = 5\nreference.frequency = 1e200", r"'reference\.frequency' \(config line 2\)"),
+    ("reference.amplitude = 0\nreference.frequency = 1e200",
+     r"'reference\.frequency' \(config line 2\)"),
+    ("reference.frequency = 1e160\nreference.amplitude = 1e-300", "overflows"),
+    ("reference.frequency = 1e5\nreference.amplitude = 1e300",
+     r"'reference\.frequency' \(config line 1\): amplitude \* frequency \*\* 2"),
 ])
 def test_invariant_violations_rejected(text, match):
     with pytest.raises(config.ConfigError, match=match) as excinfo:

@@ -182,8 +182,74 @@ def test_hinf_norm_dominates_sampled_response():
         assert norm >= sigma_max(lti.freq_response(ss, w)) - 1e-8 * norm
 
 
+def test_hinf_norm_lightly_damped_resonance_closed_form():
+    # 1/(s^2 + 2 zeta s + 1): a peak of relative width ~zeta near 1 rad/s
+    zeta = 1e-3
+    ss = lti.StateSpaceModel([[0.0, 1.0], [-1.0, -2.0 * zeta]], [[0.0], [1.0]],
+                             [[1.0, 0.0]], [[0.0]])
+    want = 1.0 / (2.0 * zeta * np.sqrt(1.0 - zeta * zeta))
+    assert lti.hinf_norm(ss, tol=1e-10) == pytest.approx(want, rel=1e-8)
+
+
+def test_hinf_norm_high_pass_reaches_feedthrough_only_at_infinity():
+    # s/(s+1) = 1 - 1/(s+1): |G(jw)| < 1 at every finite w, sigma_max(D) = 1
+    high_pass = lti.siso(-1.0, 1.0, -1.0, 1.0)
+    assert lti.hinf_norm(high_pass, tol=1e-10) == pytest.approx(1.0, rel=1e-9)
+
+
+def test_hinf_norm_peak_at_dc():
+    # 1/(s^2 + 1.8 s + 1): damping 0.9 leaves no resonance, the gain falls from 1 at DC
+    ss = lti.StateSpaceModel([[0.0, 1.0], [-1.0, -1.8]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
+    norm = lti.hinf_norm(ss, tol=1e-10)
+    assert norm == pytest.approx(1.0, rel=1e-9)
+    assert norm == pytest.approx(grid_peak_gain(ss), rel=1e-6)
+
+
+def test_hinf_norm_nonzero_where_dc_and_pole_frequency_gains_vanish():
+    # (s^3 + s)/(s + 1)^4 is zero at DC and at its pole frequency 1 rad/s; with
+    # w = tan(t) its gain is |sin(4 t)| / 4, so the norm is 1/4 (at tan(pi/8)).
+    # A is a Jordan block, so its eigenvalues come out exactly -1; that also
+    # rules out the eigendecomposition grid oracle.
+    a = -np.eye(4) + np.eye(4, k=1)
+    ss = lti.StateSpaceModel(a, [[0.0], [0.0], [0.0], [1.0]], [[-2.0, 4.0, -3.0, 1.0]], [[0.0]])
+    assert np.all(np.linalg.eigvals(a) == -1.0)
+    assert lti.hinf_norm(ss, tol=1e-10) == pytest.approx(0.25, rel=1e-8)
+
+
+def _band_pass(k, p1, p2):
+    """A, B, C of k s / ((s + p1)(s + p2)), peak k / (p1 + p2) at sqrt(p1 p2)."""
+    return (np.array([[0.0, 1.0], [-p1 * p2, -(p1 + p2)]]), np.array([[0.0], [1.0]]),
+            np.array([[0.0, k]]))
+
+
+def _rotation(t):
+    return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+
+def test_hinf_norm_mimo_with_smaller_singular_value_crossing():
+    # G = U diag(g1, g2) V: g1 = 10 s/((s+1.5)(s+3.5)) peaks at 2 and
+    # g2 = 21.9 s/((s+0.5)(s+10.5)) at 1.991, both at sqrt(5.25) rad/s. At the
+    # level g2 reaches at 2 rad/s, which is also hinf_norm's starting lower
+    # bound, g1 crosses it inside the band where g2 is above it, i.e. as the
+    # smaller singular value.
+    a1, b1, c1 = _band_pass(10.0, 1.5, 3.5)
+    a2, b2, c2 = _band_pass(21.9, 0.5, 10.5)
+    za, zb, zc = np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((1, 2))
+    ss = lti.StateSpaceModel(np.block([[a1, za], [za, a2]]),
+                             np.block([[b1, zb], [zb, b2]]) @ _rotation(-0.7),
+                             _rotation(0.3) @ np.block([[c1, zc], [zc, c2]]), np.zeros((2, 2)))
+    gamma = sigma_max(lti.freq_response(ss, 2.0))
+    crossings = lti._crossings(ss.A, ss.B, ss.C, ss.D, gamma)
+    smaller = [np.linalg.svd(lti.freq_response(ss, w), compute_uv=False)[1]
+               for w in crossings[crossings > 0]]
+    assert any(s == pytest.approx(gamma, rel=1e-6) for s in smaller)
+    norm = lti.hinf_norm(ss, tol=1e-10)
+    assert norm == pytest.approx(2.0, rel=1e-9)
+    assert norm == pytest.approx(grid_peak_gain(ss), rel=1e-6)
+
+
 def test_hinf_norm_reports_bracket_when_iterations_exhausted(monkeypatch):
-    monkeypatch.setattr(lti, "_MAX_BISECTIONS", 0)
+    monkeypatch.setattr(lti, "_MAX_ITERATIONS", 0)
     with pytest.raises(lti.HinfConvergenceError) as err:
         lti.hinf_norm(lag(), tol=1e-12)
     assert err.value.lower <= 1.0 <= err.value.upper
