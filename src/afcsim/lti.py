@@ -169,7 +169,9 @@ def series(post: StateSpaceModel, mid: StateSpaceModel,
 def _responses(a, b, c, d, omegas: np.ndarray) -> np.ndarray:
     """Stacked responses C (jw I - A)^-1 B + D, one p x m slice per w in omegas."""
     m = 1j * omegas[:, None, None] * np.eye(a.shape[0]) - a
-    return c @ np.linalg.solve(m, b) + d
+    # B as a one-element stack: numpy 1.x solves a B with one dimension less
+    # than the stack of matrices as a stack of vectors.
+    return c @ np.linalg.solve(m, b[None]) + d
 
 
 def freq_response(ss: StateSpaceModel, omega: float) -> np.ndarray:

@@ -106,6 +106,32 @@ def test_freq_response_lag_at_one():
     assert abs(val) == pytest.approx(0.7071, abs=1e-4)
 
 
+def _solve_numpy1(solve):
+    """np.linalg.solve with the numpy 1.x rule: b of one dimension less than a
+    is a stack of vectors."""
+    def wrapped(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        if b.ndim == a.ndim - 1:
+            return solve(a, b[..., None])[..., 0]
+        return solve(a, b)
+    return wrapped
+
+
+@pytest.mark.parametrize("n,m,p", [(1, 1, 1), (2, 2, 2), (3, 2, 1), (2, 3, 2)])
+def test_responses_same_under_numpy1_solve_rule(monkeypatch, n, m, p):
+    rng = np.random.default_rng(40 + n + 3 * m + 7 * p)
+    ss = make_stable_system(rng, n=n, m=m, p=p)
+    omegas = np.array([0.0, 0.3, 2.0, 17.0])
+    want = [ss.C @ np.linalg.solve(1j * w * np.eye(n) - ss.A, ss.B) + ss.D for w in omegas]
+    norm = lti.hinf_norm(ss)
+    monkeypatch.setattr(np.linalg, "solve", _solve_numpy1(np.linalg.solve))
+    for w, g in zip(omegas, want):
+        got = lti.freq_response(ss, w)
+        assert got.shape == (p, m)
+        assert np.allclose(got, g, rtol=1e-12, atol=1e-12)
+    assert lti.hinf_norm(ss) == pytest.approx(norm, rel=1e-12)
+
+
 def test_freq_response_at_pole_rejected():
     integrator = lti.siso(0.0, 1.0, 1.0, 0.0)
     with pytest.raises(lti.FrequencyAtPoleError):
