@@ -23,7 +23,7 @@ suite rather than asserted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,7 +83,9 @@ class LyapunovMatrix:
             raise ValueError("P must be symmetric")
         if np.any(np.linalg.eigvalsh(p) <= 0):
             raise ValueError("P must be positive definite")
-        p = 0.5 * (p + p.T)
+        # halving each term first cannot overflow; for normal floats it
+        # rounds exactly as 0.5 * (p + p.T) does
+        p = 0.5 * p + 0.5 * p.T
         p.setflags(write=False)
         object.__setattr__(self, "P", p)
 
@@ -93,32 +95,49 @@ def solve_lyapunov(a_c, q) -> LyapunovMatrix:
 
     The equation is solved as the dense Kronecker-sum system
     (I (x) A^T + A^T (x) I) vec(P) = -vec(Q), which is plenty for the small
-    gain matrices used here. A_c must be Hurwitz and Q symmetric positive
-    definite, otherwise no valid P exists.
+    gain matrices used here. A_c must be Hurwitz and Q finite, symmetric and
+    positive definite, otherwise no valid P exists; these rules are checked
+    here and nowhere else.
     """
     a = np.asarray(a_c, dtype=float)
     q = np.atleast_2d(np.asarray(q, dtype=float))
     n = a.shape[0]
-    if a.shape != (n, n) or q.shape != (n, n):
-        raise ValueError("A_c and Q must be square matrices of the same size")
+    if a.shape != (n, n):
+        raise ValueError("A_c must be a square matrix")
+    if q.shape != (n, n):
+        raise ValueError(f"Q must be {n}x{n}")
+    if not np.all(np.isfinite(q)):
+        raise ValueError("Q must be finite")
     if not np.allclose(q, q.T, rtol=0, atol=1e-12 * (1 + np.abs(q).max())):
         raise ValueError("Q must be symmetric")
+    if np.any(np.linalg.eigvalsh(q) <= 0):
+        raise ValueError("Q must be positive definite")
     if not _is_hurwitz(a):
         raise ValueError("A_c must be Hurwitz for a positive-definite solution")
 
     eye = np.eye(n)
     system = np.kron(eye, a.T) + np.kron(a.T, eye)
-    p = np.linalg.solve(system, -q.reshape(-1, order="F")).reshape(n, n, order="F")
-
-    residual = np.linalg.norm(a.T @ p + p @ a + q)
-    if residual > 1e-9 * max(1.0, np.linalg.norm(q)):
-        raise ValueError(f"Lyapunov solve residual too large: {residual:.3e}")
+    # extreme entries can make the solve singular or overflow in floating
+    # point; the residual test rejects any non-finite P that results
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            p = np.linalg.solve(system, -q.reshape(-1, order="F")).reshape(n, n, order="F")
+        except np.linalg.LinAlgError:
+            raise ValueError("A_c gives a singular Lyapunov system") from None
+        residual = np.linalg.norm(a.T @ p + p @ a + q)
+        tolerance = 1e-9 * max(1.0, np.linalg.norm(q))
+    if not residual <= tolerance:
+        raise ValueError(f"P misses the Lyapunov equation: residual {residual:.3e}")
     return LyapunovMatrix(p)
 
 
 @dataclass(frozen=True, eq=False)
 class ControllerConfig:
-    """Tuning for the adaptive loop; validated at construction."""
+    """Tuning for the adaptive loop and the Lyapunov matrix p it implies.
+
+    Validated at construction: solve_lyapunov(companion(k), q) owns the
+    Hurwitz rule on k and every rule on Q, and p is its solution.
+    """
 
     k: np.ndarray = (1.0, 2.0)
     q: np.ndarray = None
@@ -128,20 +147,14 @@ class ControllerConfig:
     g_min: float = 0.1
     u_max: float = 180.0
     filter_alpha: float = 1.0
+    p: LyapunovMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
         k = np.asarray(self.k, dtype=float).reshape(-1)
         if k.size < 1 or not np.all(np.isfinite(k)):
             raise ValueError("k must be a finite gain vector")
-        if not _is_hurwitz(companion(k)):
-            raise ValueError("k gives a companion matrix that is not Hurwitz")
         q = np.eye(k.size) if self.q is None else np.atleast_2d(np.asarray(self.q, float))
-        if q.shape != (k.size, k.size):
-            raise ValueError(f"Q must be {k.size}x{k.size}")
-        if not np.allclose(q, q.T, rtol=0, atol=1e-12 * (1 + np.abs(q).max())):
-            raise ValueError("Q must be symmetric")
-        if np.any(np.linalg.eigvalsh(q) <= 0):
-            raise ValueError("Q must be positive definite")
+        p = solve_lyapunov(companion(k), q)
         for name in ("r", "gamma_f", "gamma_g", "g_min", "u_max"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
@@ -152,6 +165,7 @@ class ControllerConfig:
         q.setflags(write=False)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "q", q)
+        object.__setattr__(self, "p", p)
 
     @property
     def order(self) -> int:
@@ -196,10 +210,9 @@ def project_theta_g(approx_g: FuzzyApproximator, g_min: float) -> np.ndarray:
     """Clamp every theta_g entry to at least g_min, in place.
 
     Because the regressor is a convex-combination vector, this keeps the g
-    estimate at or above g_min for every input.
+    estimate at or above g_min for every input. g_min > 0 is checked once,
+    by ControllerConfig.
     """
-    if not g_min > 0:
-        raise ValueError("g_min must be positive")
     np.maximum(approx_g.theta, g_min, out=approx_g.theta)
     return approx_g.theta
 

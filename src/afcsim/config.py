@@ -41,6 +41,15 @@ Schema (defaults in parentheses):
                                     MAX_RULES rules in all
     fuzzy.width_scale (1.0)         width = scale * center spacing
     fuzzy.theta_g_init (1.0)        initial theta_g entries (>= g_min)
+
+build_config also builds what the run derives from these keys: the fuzzy
+MembershipGrid (cfg.fuzzy) and the controller's Lyapunov matrix P
+(cfg.controller.p). The fuzzy.lo/hi/counts/width_scale keys are validated
+by the grid's constructors, the controller keys by ControllerConfig and
+afhc.solve_lyapunov; a ValueError from any of them becomes a ConfigError
+naming the key and its line. config itself checks only what no constructor
+owns: list lengths, the step and rule budgets, the reference bounds and
+theta_g_init >= g_min.
 """
 from __future__ import annotations
 
@@ -51,6 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .afhc import ControllerConfig
+from .fuzzy import MembershipGrid, grid_over_box
 from .netchan import ChannelConfig, check_step_multiple
 from .plant import PendulumParams
 
@@ -58,7 +68,6 @@ __all__ = [
     "ConfigError",
     "ReferenceConfig",
     "DisturbanceConfig",
-    "FuzzyGridConfig",
     "ExperimentConfig",
     "parse_config",
     "build_config",
@@ -98,15 +107,6 @@ class DisturbanceConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class FuzzyGridConfig:
-    lo: np.ndarray
-    hi: np.ndarray
-    counts: np.ndarray
-    width_scale: float = 1.0
-    theta_g_init: float = 1.0
-
-
-@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     duration: float
     dt: float
@@ -119,7 +119,8 @@ class ExperimentConfig:
     sensor_channel: ChannelConfig
     actuator_channel: ChannelConfig
     controller: ControllerConfig
-    fuzzy: FuzzyGridConfig
+    fuzzy: MembershipGrid
+    theta_g_init: float
 
     @property
     def n_steps(self) -> int:
@@ -143,74 +144,40 @@ def _parse_int_list(raw: str) -> list:
     return [int(part) for part in raw.split(",")]
 
 
-_SCHEMA = {
-    "duration": float,
-    "dt": float,
-    "seed": int,
-    "ideal_model": _parse_bool,
-    "reference.amplitude": float,
-    "reference.frequency": float,
-    "plant.cart_mass": float,
-    "plant.pole_mass": float,
-    "plant.half_length": float,
-    "plant.gravity": float,
-    "plant.x0": _parse_float_list,
-    "disturbance.d0": float,
-    "disturbance.omega": float,
-    "sensor_channel.delay": float,
-    "sensor_channel.drop_prob": float,
-    "sensor_channel.seed": int,
-    "actuator_channel.delay": float,
-    "actuator_channel.drop_prob": float,
-    "actuator_channel.seed": int,
-    "controller.k": _parse_float_list,
-    "controller.q_diag": _parse_float_list,
-    "controller.r": float,
-    "controller.gamma_f": float,
-    "controller.gamma_g": float,
-    "controller.g_min": float,
-    "controller.u_max": float,
-    "controller.filter_alpha": float,
-    "fuzzy.lo": _parse_float_list,
-    "fuzzy.hi": _parse_float_list,
-    "fuzzy.counts": _parse_int_list,
-    "fuzzy.width_scale": float,
-    "fuzzy.theta_g_init": float,
-}
-
-_DEFAULTS = {
-    "duration": 30.0,
-    "dt": 0.001,
-    "seed": 12345,
-    "ideal_model": False,
-    "reference.amplitude": math.pi / 30.0,
-    "reference.frequency": 1.0,
-    "plant.cart_mass": 1.0,
-    "plant.pole_mass": 0.1,
-    "plant.half_length": 0.5,
-    "plant.gravity": 9.8,
-    "plant.x0": [0.0, 0.0],
-    "disturbance.d0": 0.1,
-    "disturbance.omega": 2.0,
-    "sensor_channel.delay": 0.0,
-    "sensor_channel.drop_prob": 0.0,
-    "sensor_channel.seed": None,
-    "actuator_channel.delay": 0.0,
-    "actuator_channel.drop_prob": 0.0,
-    "actuator_channel.seed": None,
-    "controller.k": [1.0, 2.0],
-    "controller.q_diag": [1.0, 1.0],
-    "controller.r": 0.1,
-    "controller.gamma_f": 50.0,
-    "controller.gamma_g": 50.0,
-    "controller.g_min": 0.1,
-    "controller.u_max": 180.0,
-    "controller.filter_alpha": None,
-    "fuzzy.lo": [-math.pi / 6.0, -1.0],
-    "fuzzy.hi": [math.pi / 6.0, 1.0],
-    "fuzzy.counts": [5, 5],
-    "fuzzy.width_scale": 1.0,
-    "fuzzy.theta_g_init": 1.0,
+# key: (parser, default); the defaults form the nominal preset
+_KEYS = {
+    "duration": (float, 30.0),
+    "dt": (float, 0.001),
+    "seed": (int, 12345),
+    "ideal_model": (_parse_bool, False),
+    "reference.amplitude": (float, math.pi / 30.0),
+    "reference.frequency": (float, 1.0),
+    "plant.cart_mass": (float, 1.0),
+    "plant.pole_mass": (float, 0.1),
+    "plant.half_length": (float, 0.5),
+    "plant.gravity": (float, 9.8),
+    "plant.x0": (_parse_float_list, [0.0, 0.0]),
+    "disturbance.d0": (float, 0.1),
+    "disturbance.omega": (float, 2.0),
+    "sensor_channel.delay": (float, 0.0),
+    "sensor_channel.drop_prob": (float, 0.0),
+    "sensor_channel.seed": (int, None),
+    "actuator_channel.delay": (float, 0.0),
+    "actuator_channel.drop_prob": (float, 0.0),
+    "actuator_channel.seed": (int, None),
+    "controller.k": (_parse_float_list, [1.0, 2.0]),
+    "controller.q_diag": (_parse_float_list, [1.0, 1.0]),
+    "controller.r": (float, 0.1),
+    "controller.gamma_f": (float, 50.0),
+    "controller.gamma_g": (float, 50.0),
+    "controller.g_min": (float, 0.1),
+    "controller.u_max": (float, 180.0),
+    "controller.filter_alpha": (float, None),
+    "fuzzy.lo": (_parse_float_list, [-math.pi / 6.0, -1.0]),
+    "fuzzy.hi": (_parse_float_list, [math.pi / 6.0, 1.0]),
+    "fuzzy.counts": (_parse_int_list, [5, 5]),
+    "fuzzy.width_scale": (float, 1.0),
+    "fuzzy.theta_g_init": (float, 1.0),
 }
 
 
@@ -222,10 +189,10 @@ def _read_entries(text: str, source: str, entries: dict) -> None:
         if "=" not in stripped:
             raise ConfigError(f"{source} line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _SCHEMA:
+        if key not in _KEYS:
             raise ConfigError(f"{source} line {lineno}: unknown key '{key}'")
         try:
-            value = _SCHEMA[key](raw)
+            value = _KEYS[key][0](raw)
         except ValueError as exc:
             raise ConfigError(
                 f"{source} line {lineno}: malformed value for '{key}': {exc}") from None
@@ -242,13 +209,16 @@ def _reported(prefix: str, where: dict, keys: dict | None = None):
     """Re-raise a ValueError from the block as a ConfigError for one key.
 
     The validators start their messages with the field they reject; the
-    key is prefix.field unless keys maps the field to another key.
+    key is prefix.field unless keys maps the field to candidate keys, of
+    which the first one a source set is named (a derived value such as the
+    grid's centers comes from several keys).
     """
     try:
         yield
     except ValueError as exc:
         field = str(exc).split()[0].lower()
-        key = (keys or {}).get(field, f"{prefix}.{field}")
+        candidates = (keys or {}).get(field, (f"{prefix}.{field}",))
+        key = next((k for k in candidates if where[k] != "default"), candidates[0])
         raise ConfigError(f"invalid '{key}' ({where[key]}): {exc}") from None
 
 
@@ -274,16 +244,18 @@ def build_config(sources: list) -> ExperimentConfig:
     entries: dict = {}
     for name, text in sources:
         _read_entries(text, name, entries)
-    values = dict(_DEFAULTS)
-    where = {key: "default" for key in _DEFAULTS}
+    values = {key: default for key, (_, default) in _KEYS.items()}
+    where = dict.fromkeys(_KEYS, "default")
     for key, (value, location) in entries.items():
         values[key] = value
         where[key] = location
 
     dt = values["dt"]
     duration = values["duration"]
-    _require(dt > 0, "dt", where["dt"], "must be positive")
-    _require(duration > 0, "duration", where["duration"], "must be positive")
+    _require(0 < dt < math.inf, "dt", where["dt"], "must be positive and finite")
+    # n_steps rounds duration/dt half to even, so at most half a step gives none
+    _require(duration / dt > 0.5, "duration", where["duration"],
+             "must cover at least one step of dt")
     _require(duration / dt <= MAX_STEPS, "duration", where["duration"],
              f"duration/dt must not exceed {MAX_STEPS}")
     seed = values["seed"]
@@ -308,15 +280,18 @@ def build_config(sources: list) -> ExperimentConfig:
     _require(bool(np.all(np.isfinite(x0))), "plant.x0", where["plant.x0"],
              "entries must be finite")
 
-    k = np.asarray(values["controller.k"], dtype=float)
-    _require(k.size == 2, "controller.k", where["controller.k"],
+    _require(len(values["controller.k"]) == 2, "controller.k", where["controller.k"],
              "must have exactly 2 gains for the order-2 benchmark")
     alpha = values["controller.filter_alpha"]
     if alpha is None:
         any_delay = values["sensor_channel.delay"] > 0 or values["actuator_channel.delay"] > 0
         alpha = 0.2 if any_delay else 1.0
-    with _reported("controller", where, {"q": "controller.q_diag"}):
-        controller = ControllerConfig(k=k, q=np.diag(values["controller.q_diag"]),
+    # solve_lyapunov reports A_c (from k), Q (from q_diag) and P (from both)
+    with _reported("controller", where, {"a_c": ("controller.k",),
+                                         "q": ("controller.q_diag",),
+                                         "p": ("controller.k", "controller.q_diag")}):
+        controller = ControllerConfig(k=values["controller.k"],
+                                      q=np.diag(values["controller.q_diag"]),
                                       r=values["controller.r"],
                                       gamma_f=values["controller.gamma_f"],
                                       gamma_g=values["controller.gamma_g"],
@@ -324,19 +299,18 @@ def build_config(sources: list) -> ExperimentConfig:
                                       u_max=values["controller.u_max"],
                                       filter_alpha=alpha)
 
-    lo = np.asarray(values["fuzzy.lo"], dtype=float)
-    hi = np.asarray(values["fuzzy.hi"], dtype=float)
+    for key in ("fuzzy.lo", "fuzzy.hi", "fuzzy.counts"):
+        _require(len(values[key]) == 2, key, where[key],
+                 "must have exactly 2 entries for the order-2 benchmark")
     counts = values["fuzzy.counts"]
-    _require(lo.size == 2 and hi.size == 2 and len(counts) == 2, "fuzzy.lo",
-             where["fuzzy.lo"], "fuzzy.lo/hi/counts must each have 2 entries")
-    _require(bool(np.all(hi > lo)), "fuzzy.lo", where["fuzzy.lo"],
-             "must satisfy lo < hi componentwise")
-    _require(min(counts) >= 1, "fuzzy.counts", where["fuzzy.counts"], "must be >= 1")
     _require(math.prod(counts) <= MAX_RULES, "fuzzy.counts", where["fuzzy.counts"],
              f"the rule count (their product) must not exceed {MAX_RULES}")
-    counts = np.asarray(counts, dtype=int)
-    _require(values["fuzzy.width_scale"] > 0, "fuzzy.width_scale",
-             where["fuzzy.width_scale"], "must be positive")
+    # the grid reports its centers and widths, which it derives from all four keys
+    with _reported("fuzzy", where, {
+            "centers": ("fuzzy.lo", "fuzzy.hi", "fuzzy.counts"),
+            "widths": ("fuzzy.width_scale", "fuzzy.lo", "fuzzy.hi")}):
+        grid = grid_over_box(values["fuzzy.lo"], values["fuzzy.hi"], counts,
+                             values["fuzzy.width_scale"])
     _require(values["fuzzy.theta_g_init"] >= controller.g_min, "fuzzy.theta_g_init",
              where["fuzzy.theta_g_init"],
              "must be at least controller.g_min (the control law divides by g_hat)")
@@ -360,9 +334,8 @@ def build_config(sources: list) -> ExperimentConfig:
         sensor_channel=sensor,
         actuator_channel=actuator,
         controller=controller,
-        fuzzy=FuzzyGridConfig(lo=lo, hi=hi, counts=counts,
-                              width_scale=values["fuzzy.width_scale"],
-                              theta_g_init=values["fuzzy.theta_g_init"]),
+        fuzzy=grid,
+        theta_g_init=values["fuzzy.theta_g_init"],
     )
 
 

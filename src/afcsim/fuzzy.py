@@ -25,8 +25,9 @@ __all__ = [
 class MembershipGrid:
     """Per-dimension Gaussian membership centers and widths.
 
-    centers[i] must be strictly increasing and widths[i] strictly positive;
-    the rule count is the product of the per-dimension membership counts.
+    centers[i] must be finite and strictly increasing and widths[i] finite
+    and strictly positive; the rule count is the product of the
+    per-dimension membership counts.
     """
 
     centers: tuple
@@ -40,10 +41,12 @@ class MembershipGrid:
         for i, (c, w) in enumerate(zip(centers, widths)):
             if c.size != w.size or c.size < 1:
                 raise ValueError(f"dimension {i}: centers and widths must match and be nonempty")
-            if np.any(w <= 0):
-                raise ValueError(f"dimension {i}: widths must be strictly positive")
+            if not np.all(np.isfinite(c)):
+                raise ValueError(f"centers must be finite (dimension {i})")
+            if not np.all(np.isfinite(w) & (w > 0)):
+                raise ValueError(f"widths must be finite and strictly positive (dimension {i})")
             if c.size > 1 and np.any(np.diff(c) <= 0):
-                raise ValueError(f"dimension {i}: centers must be strictly increasing")
+                raise ValueError(f"centers must be strictly increasing (dimension {i})")
             c.setflags(write=False)
             w.setflags(write=False)
         object.__setattr__(self, "centers", centers)
@@ -88,25 +91,28 @@ def grid_over_box(lo, hi, counts, width_scale: float) -> MembershipGrid:
     """
     lo = np.asarray(lo, dtype=float).reshape(-1)
     hi = np.asarray(hi, dtype=float).reshape(-1)
-    counts = np.asarray(counts, dtype=int).reshape(-1)
-    if not (lo.size == hi.size == counts.size) or lo.size == 0:
-        raise ValueError("lo, hi, and counts must have the same nonzero length")
-    if np.any(hi <= lo):
-        raise ValueError("box must satisfy lo < hi componentwise")
-    if np.any(counts < 1):
-        raise ValueError("membership counts must be >= 1")
-    if not width_scale > 0:
-        raise ValueError("width_scale must be positive")
+    # Python ints: a huge count is rejected here, not overflowed by numpy
+    counts = [int(m) for m in counts]
+    if not (lo.size == hi.size == len(counts)) or lo.size == 0:
+        raise ValueError("lo and hi must have one entry per count (at least one)")
+    if not np.all(lo < hi):
+        raise ValueError("lo must satisfy lo < hi componentwise")
+    if min(counts) < 1:
+        raise ValueError("counts must be >= 1")
     centers = []
     widths = []
-    for l, h, m in zip(lo, hi, counts):
-        if m == 1:
-            centers.append(np.array([(l + h) / 2.0]))
-            widths.append(np.array([width_scale * (h - l)]))
-        else:
-            c = np.linspace(l, h, int(m))
-            centers.append(c)
-            widths.append(np.full(int(m), width_scale * (c[1] - c[0])))
+    # MembershipGrid rejects non-positive widths (from width_scale) and the
+    # non-finite centers or widths of a span that overflows; numpy need not
+    # warn about the latter first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l, h, m in zip(lo, hi, counts):
+            if m == 1:
+                centers.append(np.array([(l + h) / 2.0]))
+                widths.append(np.array([width_scale * (h - l)]))
+            else:
+                c = np.linspace(l, h, m)
+                centers.append(c)
+                widths.append(np.full(m, width_scale * (c[1] - c[0])))
     return MembershipGrid(tuple(centers), tuple(widths))
 
 

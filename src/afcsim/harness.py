@@ -58,7 +58,6 @@ class SimulationTrace:
     v: np.ndarray
     drop_sensor: np.ndarray
     drop_actuator: np.ndarray
-    u_aux: np.ndarray
     abort_reason: str | None = None
     theta_f: np.ndarray | None = None
     theta_g: np.ndarray | None = None
@@ -93,20 +92,17 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
     """
     n_steps = cfg.n_steps
     dyn = plant.pendulum(cfg.plant, d0=cfg.disturbance.d0, omega_d=cfg.disturbance.omega)
-    grid = fuzzy.grid_over_box(cfg.fuzzy.lo, cfg.fuzzy.hi, cfg.fuzzy.counts,
-                               cfg.fuzzy.width_scale)
+    grid = cfg.fuzzy
     approx_f = fuzzy.FuzzyApproximator(grid, np.zeros(grid.rule_count))
-    approx_g = fuzzy.FuzzyApproximator(grid, np.full(grid.rule_count,
-                                                     cfg.fuzzy.theta_g_init))
-    a_c = afhc.companion(cfg.controller.k)
-    p = afhc.solve_lyapunov(a_c, cfg.controller.q)
+    approx_g = fuzzy.FuzzyApproximator(grid, np.full(grid.rule_count, cfg.theta_g_init))
+    p = cfg.controller.p
 
     sensor = netchan.Channel(cfg.sensor_channel)
     actuator = netchan.Channel(cfg.actuator_channel)
 
     cols = {name: np.empty(n_steps) for name in
             ("t", "x1", "x2", "xd", "e", "e_filt", "u", "u_applied",
-             "f_hat", "g_hat", "v", "u_aux")}
+             "f_hat", "g_hat", "v")}
     drop_sensor = np.zeros(n_steps, dtype=bool)
     drop_actuator = np.zeros(n_steps, dtype=bool)
 
@@ -159,7 +155,6 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
         cols["f_hat"][i] = f_hat
         cols["g_hat"][i] = g_hat
         cols["v"][i] = float(e_vec @ p.P @ e_vec)
-        cols["u_aux"][i] = afhc.h_infinity_term(p, e_vec, cfg.controller.r)
         drop_sensor[i] = drop_sense
         drop_actuator[i] = drop_act
         steps_done = i + 1
@@ -190,7 +185,6 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
         v=cols["v"][:steps_done],
         drop_sensor=drop_sensor[:steps_done],
         drop_actuator=drop_actuator[:steps_done],
-        u_aux=cols["u_aux"][:steps_done],
         abort_reason=abort_reason,
         theta_f=approx_f.theta.copy(),
         theta_g=approx_g.theta.copy(),

@@ -94,6 +94,14 @@ def test_missing_equals_rejected():
     ("reference.frequency = 1e160\nreference.amplitude = 1e-300", "overflows"),
     ("reference.frequency = 1e5\nreference.amplitude = 1e300",
      r"'reference\.frequency' \(config line 1\): amplitude \* frequency \*\* 2"),
+    ("fuzzy.hi = 1e308, 1\nfuzzy.lo = -1e308, -1", r"'fuzzy\.lo' \(config line 2\)"),
+    ("duration = 5\nfuzzy.lo = -inf, -1", r"'fuzzy\.lo' \(config line 2\)"),
+    ("duration = 5\nfuzzy.hi = inf, 1", r"'fuzzy\.hi' \(config line 2\)"),
+    ("duration = 5\ncontroller.q_diag = inf, 1", r"'controller\.q_diag' \(config line 2\)"),
+    ("dt = 0.001\nduration = 0.0004", r"'duration' \(config line 2\)"),
+    ("duration = 5\ndt = inf", r"'dt' \(config line 2\)"),
+    ("duration = 5\ncontroller.k = 1e-300, 1e-320", r"'controller\.k' \(config line 2\)"),
+    ("duration = 5\ncontroller.k = 1e154, 1e-300", r"'controller\.k' \(config line 2\)"),
 ])
 def test_invariant_violations_rejected(text, match):
     with pytest.raises(config.ConfigError, match=match) as excinfo:

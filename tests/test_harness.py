@@ -21,8 +21,7 @@ def synthetic_trace(t, e, u=None, abort_reason=None):
     return harness.SimulationTrace(
         t=t, x1=-e, x2=z, xd=z, e=e, e_filt=e, u=u, u_applied=u,
         f_hat=z, g_hat=z + 1.0, v=z, drop_sensor=np.zeros(t.size, dtype=bool),
-        drop_actuator=np.zeros(t.size, dtype=bool), u_aux=z,
-        abort_reason=abort_reason)
+        drop_actuator=np.zeros(t.size, dtype=bool), abort_reason=abort_reason)
 
 
 # -------------------------------------------------------------- run_experiment
@@ -137,15 +136,6 @@ def test_singular_control_truncates_run():
 def test_abort_on_first_step_raises():
     with pytest.raises(RuntimeError, match="before completing one step"):
         run_text("ideal_model = true\nplant.x0 = 1.58, 0\ndisturbance.d0 = 0\nduration = 1")
-
-
-def test_trace_auxiliary_term_matches_formula():
-    cfg, trace, _ = run_text("duration = 2")
-    p = afhc.solve_lyapunov(afhc.companion(cfg.controller.k), cfg.controller.q).P
-    xd_dot = cfg.reference.amplitude * np.cos(trace.t)
-    e_vecs = np.stack([trace.e_filt, xd_dot - trace.x2], axis=1)
-    expected = (e_vecs @ p[-1, :]) / cfg.controller.r
-    assert np.allclose(trace.u_aux, expected, atol=1e-12)
 
 
 def test_saturation_limit_respected():
