@@ -97,6 +97,9 @@ def test_missing_equals_rejected():
     ("fuzzy.hi = 1e308, 1\nfuzzy.lo = -1e308, -1", r"'fuzzy\.lo' \(config line 2\)"),
     ("duration = 5\nfuzzy.lo = -inf, -1", r"'fuzzy\.lo' \(config line 2\)"),
     ("duration = 5\nfuzzy.hi = inf, 1", r"'fuzzy\.hi' \(config line 2\)"),
+    ("duration = 5\nfuzzy.counts = 0, 100000000000000000000",
+     r"'fuzzy\.counts' \(config line 2\)"),
+    ("duration = 5\nfuzzy.width_scale = 0", r"'fuzzy\.width_scale' \(config line 2\)"),
     ("duration = 5\ncontroller.q_diag = inf, 1", r"'controller\.q_diag' \(config line 2\)"),
     ("dt = 0.001\nduration = 0.0004", r"'duration' \(config line 2\)"),
     ("duration = 5\ndt = inf", r"'dt' \(config line 2\)"),
