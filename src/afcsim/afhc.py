@@ -20,6 +20,10 @@ e = x_d - x1 and error vector E = (e, e', ..., e^(n-1)):
 The adaptation signs make the candidate V = E^T P E decrease along ideal
 (model-matched) trajectories; this is verified numerically in the test
 suite rather than asserted.
+
+The controller runs at order n = 2. Its step functions write the small
+products k.E and B^T P E out as Python float expressions in a fixed order,
+so their rounding does not depend on the BLAS kernel numpy was built with.
 """
 from __future__ import annotations
 
@@ -71,9 +75,14 @@ def _is_hurwitz(a: np.ndarray) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class LyapunovMatrix:
-    """Symmetric positive-definite solution P of a Lyapunov equation."""
+    """Symmetric positive-definite solution P of a Lyapunov equation.
+
+    rows holds the entries of P as a tuple of rows of Python floats, which
+    the control step reads.
+    """
 
     P: np.ndarray
+    rows: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         p = np.asarray(self.P, dtype=float)
@@ -88,6 +97,7 @@ class LyapunovMatrix:
         p = 0.5 * p + 0.5 * p.T
         p.setflags(write=False)
         object.__setattr__(self, "P", p)
+        object.__setattr__(self, "rows", tuple(map(tuple, p.tolist())))
 
 
 def solve_lyapunov(a_c, q) -> LyapunovMatrix:
@@ -136,10 +146,12 @@ class ControllerConfig:
     """Tuning for the adaptive loop and the Lyapunov matrix p it implies.
 
     Validated at construction: solve_lyapunov(companion(k), q) owns the
-    Hurwitz rule on k and every rule on Q, and p is its solution.
+    Hurwitz rule on k and every rule on Q, and p is its solution. The
+    control step is written out for an order-2 error vector, so k holds
+    exactly two gains, kept as a tuple of Python floats.
     """
 
-    k: np.ndarray = (1.0, 2.0)
+    k: tuple = (1.0, 2.0)
     q: np.ndarray = None
     r: float = 0.1
     gamma_f: float = 50.0
@@ -151,7 +163,9 @@ class ControllerConfig:
 
     def __post_init__(self):
         k = np.asarray(self.k, dtype=float).reshape(-1)
-        if k.size < 1 or not np.all(np.isfinite(k)):
+        if k.size != 2:
+            raise ValueError("k must have exactly 2 gains for the order-2 benchmark")
+        if not np.all(np.isfinite(k)):
             raise ValueError("k must be a finite gain vector")
         q = np.eye(k.size) if self.q is None else np.atleast_2d(np.asarray(self.q, float))
         p = solve_lyapunov(companion(k), q)
@@ -160,16 +174,11 @@ class ControllerConfig:
                 raise ValueError(f"{name} must be strictly positive")
         if not 0.0 < self.filter_alpha <= 1.0:
             raise ValueError("filter_alpha must lie in (0, 1]")
-        k.setflags(write=False)
         q = q.copy()
         q.setflags(write=False)
-        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "k", tuple(k.tolist()))
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
-
-    @property
-    def order(self) -> int:
-        return self.k.size
 
 
 def filter_error(e_prev_filtered, e_raw, filter_alpha: float) -> tuple:
@@ -185,15 +194,17 @@ def filter_error(e_prev_filtered, e_raw, filter_alpha: float) -> tuple:
 
 def h_infinity_term(p: LyapunovMatrix, e_vec, r: float) -> float:
     """Auxiliary control u_a = (1/r) B^T P E with B the last unit vector."""
-    return float(p.P[-1, :] @ e_vec) / r
+    e0, e1 = e_vec
+    p10, p11 = p.rows[1]
+    return (p10 * e0 + p11 * e1) / r
 
 
 def control_law(cfg: ControllerConfig, p: LyapunovMatrix, f_hat: float,
                 g_hat: float, e_vec, ydn: float) -> float:
     """Certainty-equivalence control, saturated to [-u_max, u_max].
 
-    ydn is the n-th derivative of the reference and e_vec an error vector of
-    length cfg.order. Raises SingularControlError if |g_hat| sits below g_min
+    ydn is the second derivative of the reference and e_vec the error
+    vector (e, e'). Raises SingularControlError if |g_hat| sits below g_min
     despite projection.
     """
     # Slack of a few ulps: theta_g at the floor gives g_hat = g_min only up to
@@ -201,8 +212,9 @@ def control_law(cfg: ControllerConfig, p: LyapunovMatrix, f_hat: float,
     if abs(g_hat) < cfg.g_min * (1.0 - 1e-9):
         raise SingularControlError(
             f"singular control: |g_hat|={abs(g_hat):.3e} < g_min={cfg.g_min:.3e}")
-    u_a = h_infinity_term(p, e_vec, cfg.r)
-    u = (-f_hat + ydn + float(cfg.k @ e_vec) + u_a) / g_hat
+    e0, e1 = e_vec
+    k0, k1 = cfg.k
+    u = (-f_hat + ydn + (k0 * e0 + k1 * e1) + h_infinity_term(p, e_vec, cfg.r)) / g_hat
     return min(max(u, -cfg.u_max), cfg.u_max)
 
 
@@ -223,11 +235,16 @@ def adapt_step(approx_f: FuzzyApproximator, approx_g: FuzzyApproximator,
     """One explicit-Euler step of the gradient adaptation laws, in place.
 
     Updates theta_f and theta_g from the adaptation signal s = E^T P B and
-    the applied control u, then projects theta_g onto [g_min, inf). Returns
-    the (theta_f, theta_g) arrays.
+    the applied control u, then projects theta_g onto [g_min, inf). The two
+    approximators must come from fuzzy.paired, so that one update writes
+    both rows of their shared theta. Returns the (theta_f, theta_g) arrays.
     """
-    s = float(p.P[-1, :] @ e_vec)
-    approx_f.theta += dt * (-cfg.gamma_f * s) * xi
-    approx_g.theta += dt * (-cfg.gamma_g * s * u) * xi
+    theta = approx_f.theta.base
+    if theta is None or approx_g.theta.base is not theta:
+        raise ValueError("approx_f and approx_g must share one theta array (fuzzy.paired)")
+    e0, e1 = e_vec
+    p10, p11 = p.rows[1]
+    s = p10 * e0 + p11 * e1
+    theta += np.multiply.outer((dt * (-cfg.gamma_f * s), dt * (-cfg.gamma_g * s * u)), xi)
     project_theta_g(approx_g, cfg.g_min)
     return approx_f.theta, approx_g.theta

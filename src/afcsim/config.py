@@ -280,8 +280,6 @@ def build_config(sources: list) -> ExperimentConfig:
     _require(bool(np.all(np.isfinite(x0))), "plant.x0", where["plant.x0"],
              "entries must be finite")
 
-    _require(len(values["controller.k"]) == 2, "controller.k", where["controller.k"],
-             "must have exactly 2 gains for the order-2 benchmark")
     alpha = values["controller.filter_alpha"]
     if alpha is None:
         any_delay = values["sensor_channel.delay"] > 0 or values["actuator_channel.delay"] > 0

@@ -8,13 +8,17 @@ row-major order (last input dimension fastest).
 """
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 __all__ = [
     "MembershipGrid",
     "FuzzyApproximator",
+    "paired",
     "grid_over_box",
     "write_theta",
     "read_theta",
@@ -51,6 +55,9 @@ class MembershipGrid:
             w.setflags(write=False)
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "widths", widths)
+        # (center, width) pairs per dimension, as Python floats for regressor
+        object.__setattr__(self, "_axes", tuple(tuple(zip(c.tolist(), w.tolist()))
+                                                for c, w in zip(centers, widths)))
 
     @property
     def dim(self) -> int:
@@ -67,19 +74,24 @@ class MembershipGrid:
     def regressor(self, x) -> np.ndarray:
         """Normalized firing strengths xi(x): positive, summing to one.
 
-        Memberships are mu(x) = exp(-((x - c) / sigma)^2); rule strengths are
-        per-dimension products normalized over all rules. Computed in the log
-        domain so far-from-grid inputs cannot underflow the normalizer.
+        Memberships are mu(x) = exp(-((x - c) / sigma)^2) and a rule's
+        strength is their product, so the normalized strengths are the outer
+        product of each dimension's normalized memberships. Each dimension is
+        shifted by its smallest squared distance: its largest membership is 1
+        and a far-from-grid input cannot underflow the normalizer. Python
+        floats (math.exp, a left-to-right sum) keep numpy's SIMD dispatch out.
         """
         if len(x) != self.dim:
             raise ValueError(f"input has dimension {len(x)}, grid expects {self.dim}")
-        log_rule = None
-        for xi, c, w in zip(x, self.centers, self.widths):
-            z = (xi - c) / w
-            log_rule = -z * z if log_rule is None else log_rule[..., None] + (-z * z)
-        flat = log_rule.reshape(-1)
-        flat = np.exp(flat - flat.max())
-        return flat / flat.sum()
+        xi = None
+        for v, axis in zip(x, self._axes):
+            sq = [z * z for z in [(v - c) / w for c, w in axis]]
+            low = min(sq)
+            mu = [math.exp(low - q) for q in sq]
+            total = reduce(operator.add, mu)
+            norm = [m / total for m in mu]
+            xi = np.array(norm) if xi is None else np.multiply.outer(xi, norm).ravel()
+        return xi
 
 
 def grid_over_box(lo, hi, counts, width_scale: float) -> MembershipGrid:
@@ -136,7 +148,21 @@ class FuzzyApproximator:
                 f"theta has length {self.theta.size}, grid has {self.grid.rule_count} rules")
 
     def evaluate(self, x) -> float:
-        return float(self.theta @ self.grid.regressor(x))
+        """theta . xi(x), reduced by np.add.reduce as the control loop does."""
+        return float(np.add.reduce(self.theta * self.grid.regressor(x)))
+
+
+def paired(grid: MembershipGrid, theta_f, theta_g) -> tuple:
+    """Approximators of f and g whose theta vectors are the two rows of one
+    (2, rule_count) array, so that one numpy operation evaluates or updates
+    both (afhc.adapt_step relies on it). theta_f and theta_g may be scalars."""
+    theta = np.empty((2, grid.rule_count))
+    theta[0] = theta_f
+    theta[1] = theta_g
+    approx_f = FuzzyApproximator(grid)
+    approx_g = FuzzyApproximator(grid)
+    approx_f.theta, approx_g.theta = theta
+    return approx_f, approx_g
 
 
 def write_theta(path, approx: FuzzyApproximator) -> None:

@@ -41,8 +41,8 @@ class SimulationTrace:
     """Per-step record of one run, plus the final adapted parameters.
 
     All columns share the same length; t is uniformly spaced by dt. When a
-    run aborts (non-finite dynamics or a singular control), the arrays are
-    truncated at the failing step and abort_reason says why.
+    run aborts (non-finite dynamics, a singular or a non-finite control),
+    the arrays are truncated at the failing step and abort_reason says why.
     """
 
     t: np.ndarray
@@ -93,9 +93,10 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
     n_steps = cfg.n_steps
     dyn = plant.pendulum(cfg.plant, d0=cfg.disturbance.d0, omega_d=cfg.disturbance.omega)
     grid = cfg.fuzzy
-    approx_f = fuzzy.FuzzyApproximator(grid, np.zeros(grid.rule_count))
-    approx_g = fuzzy.FuzzyApproximator(grid, np.full(grid.rule_count, cfg.theta_g_init))
+    approx_f, approx_g = fuzzy.paired(grid, 0.0, cfg.theta_g_init)
+    theta = approx_f.theta.base             # rows theta_f and theta_g
     p = cfg.controller.p
+    (p00, p01), (p10, p11) = p.rows
 
     sensor = netchan.Channel(cfg.sensor_channel)
     actuator = netchan.Channel(cfg.actuator_channel)
@@ -123,22 +124,22 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
         e_raw = tuple([r - m for r, m in zip(ref, x_meas)])
         e_filtered = e_raw if e_filtered is None else afhc.filter_error(
             e_filtered, e_raw, alpha)
-        # the small dot products stay numpy calls: the trace bytes depend on
-        # the BLAS dot kernel's rounding (see README)
-        e_vec = np.array(e_filtered)
+        e0, e1 = e_filtered
 
         xi = grid.regressor(x_meas)
         if cfg.ideal_model:
             f_hat = dyn.f(x_meas)
             g_hat = dyn.g(x_meas)
         else:
-            f_hat = float(approx_f.theta @ xi)
-            g_hat = float(approx_g.theta @ xi)
+            f_hat, g_hat = np.add.reduce(theta * xi, axis=1).tolist()
 
         try:
-            u = afhc.control_law(cfg.controller, p, f_hat, g_hat, e_vec, ref[n])
+            u = afhc.control_law(cfg.controller, p, f_hat, g_hat, e_filtered, ref[n])
         except afhc.SingularControlError as exc:
             abort_reason = str(exc)
+            break
+        if not math.isfinite(u):
+            abort_reason = f"non-finite control: u = {u} (f_hat = {f_hat}, g_hat = {g_hat})"
             break
 
         drop_act = actuator.push(t, u)
@@ -149,12 +150,12 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
         cols["x2"][i] = x[1]
         cols["xd"][i] = ref[0]
         cols["e"][i] = ref[0] - x[0]
-        cols["e_filt"][i] = e_filtered[0]
+        cols["e_filt"][i] = e0
         cols["u"][i] = u
         cols["u_applied"][i] = u_applied
         cols["f_hat"][i] = f_hat
         cols["g_hat"][i] = g_hat
-        cols["v"][i] = float(e_vec @ p.P @ e_vec)
+        cols["v"][i] = e0 * (p00 * e0 + p01 * e1) + e1 * (p10 * e0 + p11 * e1)
         drop_sensor[i] = drop_sense
         drop_actuator[i] = drop_act
         steps_done = i + 1
@@ -166,7 +167,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
             break
 
         if not cfg.ideal_model:
-            afhc.adapt_step(approx_f, approx_g, xi, e_vec, p, u,
+            afhc.adapt_step(approx_f, approx_g, xi, e_filtered, p, u,
                             cfg.controller, cfg.dt)
 
     if steps_done == 0:

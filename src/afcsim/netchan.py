@@ -14,10 +14,15 @@ from typing import Any
 import numpy as np
 
 __all__ = [
+    "DROP_BLOCK",
     "ChannelConfig",
     "Channel",
     "check_step_multiple",
 ]
+
+# Drop flags are drawn this many at a time; a block of uniform draws equals
+# the same number of single draws from the generator, bit for bit.
+DROP_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -60,6 +65,7 @@ class Channel:
     def __init__(self, config: ChannelConfig):
         self.config = config
         self._rng = np.random.default_rng(int(config.seed))
+        self._drops: list = []              # pre-drawn flags, next one last
         self._pending: deque = deque()
         self._held = config.initial_value
         self._last_push = -math.inf
@@ -78,7 +84,10 @@ class Channel:
             raise ValueError(
                 f"push times must be strictly increasing (got {t} after {self._last_push})")
         self._last_push = t
-        dropped = bool(self._rng.random() < self.config.drop_prob)
+        if not self._drops:
+            self._drops = (self._rng.random(DROP_BLOCK) < self.config.drop_prob).tolist()
+            self._drops.reverse()
+        dropped = self._drops.pop()
         if not dropped:
             self._pending.append((t, value))
         return dropped

@@ -63,7 +63,9 @@ class PlantModel:
 
     f and g receive the state as a tuple of n floats. g_floor declares the
     positive lower bound |g(x)| >= g_floor assumed to hold on the intended
-    operating region; it is not enforced pointwise.
+    operating region; it is not enforced pointwise. fg returns (f(x), g(x))
+    in one call, for a plant whose f and g share work; it defaults to
+    calling f and g.
     """
 
     n: int
@@ -71,44 +73,40 @@ class PlantModel:
     g: Callable[[tuple], float]
     d: Callable[[float], float]
     g_floor: float = 0.0
+    fg: Callable[[tuple], tuple] | None = None
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("plant order n must be >= 1")
         if self.g_floor < 0:
             raise ValueError("g_floor must be nonnegative")
+        if self.fg is None:
+            f, g = self.f, self.g
+            object.__setattr__(self, "fg", lambda x: (f(x), g(x)))
 
 
-def _pendulum_denominator(params: PendulumParams, x1: float) -> float:
-    total = params.cart_mass + params.pole_mass
-    cos1 = math.cos(x1)
-    return params.half_length * (4.0 / 3.0 - params.pole_mass * cos1 * cos1 / total)
-
-
-def _pendulum_f(params: PendulumParams, x1: float, x2: float) -> float:
+def _pendulum_fg(params: PendulumParams, x1: float, x2: float) -> tuple:
+    """(f, g) of the cart-pole at (x1, x2), sharing sin, cos and the
+    denominator between the two."""
     total = params.cart_mass + params.pole_mass
     sin1 = math.sin(x1)
     cos1 = math.cos(x1)
+    den = params.half_length * (4.0 / 3.0 - params.pole_mass * cos1 * cos1 / total)
     num = (params.gravity * sin1
            - params.pole_mass * params.half_length * x2 * x2 * cos1 * sin1 / total)
-    return num / _pendulum_denominator(params, x1)
-
-
-def _pendulum_g(params: PendulumParams, x1: float) -> float:
-    total = params.cart_mass + params.pole_mass
-    num = math.cos(x1) / total
-    return num / _pendulum_denominator(params, x1)
+    return num / den, (cos1 / total) / den
 
 
 def pendulum_f(params: PendulumParams, x) -> float:
     """Drift acceleration of the pole angle for the cart-pole benchmark."""
     x1, x2 = state_vec(x, 2).tolist()
-    return _pendulum_f(params, x1, x2)
+    return _pendulum_fg(params, x1, x2)[0]
 
 
 def pendulum_g(params: PendulumParams, x) -> float:
     """Input gain from applied force to pole-angle acceleration."""
-    return _pendulum_g(params, state_vec(x, 2).tolist()[0])
+    x1, x2 = state_vec(x, 2).tolist()
+    return _pendulum_fg(params, x1, x2)[1]
 
 
 def pendulum(params: PendulumParams = PendulumParams(),
@@ -117,25 +115,29 @@ def pendulum(params: PendulumParams = PendulumParams(),
     """Two-state pole-balancing plant with sinusoidal disturbance d0 sin(w t).
 
     The default g_floor of 0.5 holds for |x1| <= pi/3 with the default
-    parameters. f and g take any indexable state and skip the validation of
-    pendulum_f and pendulum_g: the integrator checks each stage instead.
+    parameters. f, g and fg take any indexable state and skip the validation
+    of pendulum_f and pendulum_g: the integrator checks each stage instead.
     """
 
+    def fg(x) -> tuple:
+        return _pendulum_fg(params, x[0], x[1])
+
     def f(x) -> float:
-        return _pendulum_f(params, x[0], x[1])
+        return fg(x)[0]
 
     def g(x) -> float:
-        return _pendulum_g(params, x[0])
+        return fg(x)[1]
 
     def d(t: float) -> float:
         return d0 * math.sin(omega_d * t)
 
-    return PlantModel(n=2, f=f, g=g, d=d, g_floor=g_floor)
+    return PlantModel(n=2, f=f, g=g, d=d, g_floor=g_floor, fg=fg)
 
 
 def _stage(plant: PlantModel, x: tuple, u_applied: float, d_value: float) -> tuple:
     """(x2, ..., xn, f(x) + g(x) u + d) at the state tuple x."""
-    top = plant.f(x) + plant.g(x) * u_applied + d_value
+    f_value, g_value = plant.fg(x)
+    top = f_value + g_value * u_applied + d_value
     if not math.isfinite(top):
         raise DynamicsOverflowError("dynamics overflow: non-finite derivative")
     return x[1:] + (top,)

@@ -169,9 +169,9 @@ def test_criterion_8_integrator_order():
 
 # SHA-256 of trace.csv for each preset at --seed 2024.
 GOLDEN_TRACE_SHA256 = {
-    "nominal": "0c7300df62ae7945c7ab222a6c5142f13aa84a93d5c269079488f99d61377f35",
-    "networked": "f6a2966dc14bfcd1852d01d5173d8d3a2336c42b0a38c632fa143123a2c923a3",
-    "stress": "f6b968b0817b64a79c924a7889b2d563306a04a7ab31d8c55ba0d30f7f756046",
+    "nominal": "aa56742bfd071091a24c114e8c1425742f32f19332720c6f5c65b0c9ea6436ac",
+    "networked": "7f4f1ba4bedb15a11943e92d3ed85d78a0b3127d4c43e238995c29cc5be14dd5",
+    "stress": "d741b4edc37b47f539bc325640feaea40f4cb25f6e7f87ca2ac42c892121627c",
 }
 
 

@@ -9,8 +9,7 @@ P_DEFAULT = afhc.solve_lyapunov(afhc.companion([1.0, 2.0]), np.eye(2))
 
 def two_rule_approximators(theta_f=(0.0, 0.0), theta_g=(1.0, 1.0)):
     grid = fuzzy.MembershipGrid((np.array([-1.0, 1.0]),), (np.array([1.0, 1.0]),))
-    return (fuzzy.FuzzyApproximator(grid, np.array(theta_f, dtype=float)),
-            fuzzy.FuzzyApproximator(grid, np.array(theta_g, dtype=float)))
+    return fuzzy.paired(grid, theta_f, theta_g)
 
 
 # ------------------------------------------------------------- solve_lyapunov
@@ -155,22 +154,49 @@ def test_h_infinity_term_formula():
 
 
 def test_step_functions_bit_identical_to_array_forms():
-    # the scalar forms must round exactly like the numpy expressions they
-    # replaced: (1 - a) * prev + a * raw on arrays, and np.clip on u
+    # the step functions must round exactly like their plain-Python forms:
+    # IEEE operations on floats in a fixed order, with no BLAS call and no
+    # fused multiply-add
     rng = np.random.default_rng(8)
-    cfg = afhc.ControllerConfig(u_max=50.0)
+    # gains and weights whose products with E are inexact, so that a fused
+    # multiply-add would round differently
+    cfg = afhc.ControllerConfig(k=(1.7, 2.9), q=np.diag([1.3, 0.6]), r=0.13, u_max=50.0)
+    (k0, k1), (p10, p11) = cfg.k, cfg.p.rows[1]
+    approx_f, approx_g = fuzzy.paired(
+        fuzzy.grid_over_box([-1.0, -1.0], [1.0, 1.0], [3, 4], 1.0), 0.0, 1.0)
     for _ in range(3000):
-        prev, raw = rng.normal(size=2), rng.normal(size=2)
+        prev = tuple(rng.normal(size=2).tolist())
+        raw = tuple(rng.normal(size=2).tolist())
         alpha = float(rng.uniform(1e-3, 1.0))
-        new = np.array(afhc.filter_error(tuple(prev.tolist()), tuple(raw.tolist()), alpha))
-        assert new.tobytes() == ((1.0 - alpha) * prev + alpha * raw).tobytes()
-        f_hat, g_hat, ydn = (float(v) for v in rng.normal(scale=30.0, size=3))
+        new = afhc.filter_error(prev, raw, alpha)
+        assert new == ((1.0 - alpha) * prev[0] + alpha * raw[0],
+                       (1.0 - alpha) * prev[1] + alpha * raw[1])
+        e0, e1 = new
+        f_hat, g_hat, ydn = rng.normal(scale=30.0, size=3).tolist()
         g_hat = abs(g_hat) + cfg.g_min
-        u = afhc.control_law(cfg, P_DEFAULT, f_hat, g_hat, raw, ydn)
-        unclipped = (-f_hat + ydn + float(cfg.k @ raw)
-                     + float(P_DEFAULT.P[-1, :] @ raw) / cfg.r) / g_hat
-        expected = np.clip(unclipped, -cfg.u_max, cfg.u_max)
-        assert type(u) is float and np.float64(u).tobytes() == expected.tobytes()
+        u = afhc.control_law(cfg, cfg.p, f_hat, g_hat, new, ydn)
+        s = p10 * e0 + p11 * e1
+        unclipped = (-f_hat + ydn + (k0 * e0 + k1 * e1) + s / cfg.r) / g_hat
+        expected = -cfg.u_max if unclipped < -cfg.u_max else min(unclipped, cfg.u_max)
+        assert type(u) is float and u == expected
+        xi = rng.dirichlet(np.ones(12))
+        before_f = approx_f.theta.tolist()
+        before_g = approx_g.theta.tolist()
+        afhc.adapt_step(approx_f, approx_g, xi, new, cfg.p, u, cfg, 1e-3)
+        c_f = 1e-3 * (-cfg.gamma_f * s)
+        c_g = 1e-3 * (-cfg.gamma_g * s * u)
+        assert approx_f.theta.tolist() == [t + c_f * x for t, x in zip(before_f, xi.tolist())]
+        assert approx_g.theta.tolist() == [max(t + c_g * x, cfg.g_min)
+                                           for t, x in zip(before_g, xi.tolist())]
+
+
+def test_adapt_rejects_unpaired_approximators():
+    grid = fuzzy.MembershipGrid((np.array([-1.0, 1.0]),), (np.array([1.0, 1.0]),))
+    approx_f = fuzzy.FuzzyApproximator(grid)
+    approx_g = fuzzy.FuzzyApproximator(grid, [1.0, 1.0])
+    with pytest.raises(ValueError, match="share one theta"):
+        afhc.adapt_step(approx_f, approx_g, np.array([0.5, 0.5]), (0.1, 0.0),
+                        P_DEFAULT, 1.0, afhc.ControllerConfig(), 0.01)
 
 
 # ------------------------------------------------------------ adaptation laws

@@ -107,19 +107,28 @@ def test_regressor_translation_consistency(point, shift):
     assert np.allclose(g.regressor(x), shifted.regressor(x + shift), atol=1e-12)
 
 
-def seeded_regressor(grid, x):
-    """The regressor's log-domain loop as it read with a zero-d seed array."""
-    log_rule = np.zeros(())
-    for xi, c, w in zip(np.asarray(x, dtype=float), grid.centers, grid.widths):
-        z = (xi - c) / w
-        log_rule = log_rule[..., None] + (-z * z)
-    flat = log_rule.reshape(-1)
-    flat = np.exp(flat - flat.max())
-    return flat / flat.sum()
+def python_regressor(grid, x):
+    """The regressor's arithmetic in plain Python: per dimension, squared
+    distances, a shift by their minimum, math.exp and a left-to-right sum;
+    then the row-major product over dimensions (1.0 * m is exact)."""
+    rules = [1.0]
+    for v, centers, widths in zip(x, grid.centers, grid.widths):
+        sq = []
+        for c, w in zip(centers.tolist(), widths.tolist()):
+            z = (v - c) / w
+            sq.append(z * z)
+        low = min(sq)
+        mu = [math.exp(low - q) for q in sq]
+        total = mu[0]
+        for m in mu[1:]:
+            total = total + m
+        rules = [r * (m / total) for r in rules for m in mu]
+    return np.array(rules)
 
 
 @pytest.mark.parametrize("counts", [[5, 5], [15, 15], [3, 4, 2], [7]])
 def test_regressor_bit_identical_to_seeded_loop(counts):
+    # the separable regressor must round exactly like its plain-Python form
     rng = np.random.default_rng(len(counts) * 100 + counts[0])
     dim = len(counts)
     grid = fuzzy.grid_over_box([-1.0] * dim, [1.0] * dim, counts, 1.0)
@@ -127,7 +136,7 @@ def test_regressor_bit_identical_to_seeded_loop(counts):
     points[:50] = 0.0                       # exact centers give zero exponents
     points[50:100] *= 300.0                 # far outside the box
     for x in points.tolist():
-        assert grid.regressor(x).tobytes() == seeded_regressor(grid, x).tobytes()
+        assert grid.regressor(x).tobytes() == python_regressor(grid, x).tobytes()
 
 
 # ------------------------------------------------------------------- evaluate
@@ -165,6 +174,20 @@ def test_evaluate_is_convex_combination(point):
     approx = fuzzy.FuzzyApproximator(g, theta)
     val = approx.evaluate(point)
     assert theta.min() - 1e-12 <= val <= theta.max() + 1e-12
+
+
+def test_paired_rows_share_one_array():
+    g = benchmark_grid()
+    approx_f, approx_g = fuzzy.paired(g, 0.0, 2.0)
+    theta = approx_f.theta.base
+    assert theta.shape == (2, g.rule_count) and approx_g.theta.base is theta
+    assert np.all(approx_f.theta == 0.0) and np.all(approx_g.theta == 2.0)
+    rng = np.random.default_rng(3)
+    theta[:] = rng.normal(size=theta.shape)
+    # evaluate reduces each row exactly as the control loop reduces both
+    for x in rng.uniform(-1.0, 1.0, size=(200, 2)).tolist():
+        f_hat, g_hat = np.add.reduce(theta * g.regressor(x), axis=1).tolist()
+        assert (f_hat, g_hat) == (approx_f.evaluate(x), approx_g.evaluate(x))
 
 
 def test_theta_length_validated():

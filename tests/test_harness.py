@@ -1,5 +1,9 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,21 +293,56 @@ def test_cli_divergence_exit_code(tmp_path):
     assert "diverged = true" in (out / "metrics.txt").read_text()
 
 
-def test_cli_lossy_sensor_golden_trace(tmp_path):
-    # no preset drops sensor packets, so pin a run that does
-    cfg_file = tmp_path / "lossy.cfg"
-    cfg_file.write_text("sensor_channel.delay = 0.01\nsensor_channel.drop_prob = 0.3\n"
-                        "duration = 5\n")
+def test_cli_non_finite_control_aborts_before_it_is_recorded(tmp_path, capsys):
+    # a valid P near 1e308 drives f_hat to inf and then u to NaN
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("controller.q_diag = 1e308, 1e154\n")
     out = tmp_path / "run"
-    code = cli.main(["--preset", "networked", "--config", str(cfg_file), "--out", str(out),
-                     "--seed", "2024", "--quiet"])
+    code = cli.main(["--config", str(cfg_file), "--out", str(out)])
+    assert code == 2
+    assert "abort_reason = non-finite control" in capsys.readouterr().out
+    metrics = dict(line.split(" = ") for line in
+                   (out / "metrics.txt").read_text().splitlines())
+    assert metrics["diverged"] == "true"
+    assert math.isfinite(float(metrics["max_abs_u"]))
+
+
+# no preset drops sensor packets, so pin a run that does
+LOSSY_CONFIG = "sensor_channel.delay = 0.01\nsensor_channel.drop_prob = 0.3\nduration = 5\n"
+LOSSY_ARGV = ["--preset", "networked", "--seed", "2024", "--quiet"]
+LOSSY_SHA256 = "55a77d8751ed26bd93a4f0e43f23b7b374a8c86cf7b5099d1ce4e5b0df48d0ed"
+
+
+def test_cli_lossy_sensor_golden_trace(tmp_path):
+    cfg_file = tmp_path / "lossy.cfg"
+    cfg_file.write_text(LOSSY_CONFIG)
+    out = tmp_path / "run"
+    code = cli.main(LOSSY_ARGV + ["--config", str(cfg_file), "--out", str(out)])
     assert code == 0
     payload = (out / "trace.csv").read_bytes()
     data = np.genfromtxt(out / "trace.csv", delimiter=",", names=True)
     assert int(data["drop_sensor"].sum()) == 1432
     assert int(data["drop_actuator"].sum()) == 469
-    assert hashlib.sha256(payload).hexdigest() == (
-        "a8bd3933d49573f0abe7e3c56c28827ba7bcfd5874507a7e7954b53692780f83")
+    assert hashlib.sha256(payload).hexdigest() == LOSSY_SHA256
+
+
+@pytest.mark.parametrize("env", [
+    {"OPENBLAS_CORETYPE": "Haswell"},
+    {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"},
+], ids=["openblas-haswell", "numpy-simd-off"])
+def test_lossy_sensor_golden_trace_under_other_kernels(tmp_path, env):
+    # the trace bytes must not depend on the BLAS kernel or numpy's SIMD loops
+    cfg_file = tmp_path / "lossy.cfg"
+    cfg_file.write_text(LOSSY_CONFIG)
+    out = tmp_path / "run"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    child_env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), **env)
+    proc = subprocess.run(
+        [sys.executable, "-m", "afcsim", *LOSSY_ARGV, "--config", str(cfg_file),
+         "--out", str(out)], env=child_env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest() == LOSSY_SHA256
 
 
 def test_cli_preset_networked(tmp_path):

@@ -63,6 +63,16 @@ def test_seeded_drop_sequence_replays_bit_identically():
     assert seq_a == seq_b == oracle
 
 
+def test_block_drawn_flags_equal_sequential_draws():
+    # flags come from blocks of DROP_BLOCK draws; 10,000 pushes cross two
+    # block boundaries and must see the generator's single draws
+    ch = make_channel(drop_prob=0.3, seed=7)
+    flags = [ch.push(i * 0.01, 0.0) for i in range(10_000)]
+    rng = np.random.default_rng(7)
+    assert 10_000 > 2 * netchan.DROP_BLOCK
+    assert flags == [rng.random() < 0.3 for _ in range(10_000)]
+
+
 @pytest.mark.parametrize("prob,seed", [(0.1, 2024), (0.9999, 7)])
 def test_empirical_drop_rate_within_three_sigma(prob, seed):
     n = 10_000
