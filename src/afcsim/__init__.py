@@ -1,7 +1,7 @@
 """Simulation toolkit for networked nonlinear control.
 
 Subpackages cover dense LTI analysis with H-infinity certificates (lti),
-chain-of-integrators plants and RK4 integration (plant), delay/loss network
+the cart-pole plant and RK4 integration (plant), delay/loss network
 channels (netchan), grid fuzzy approximators (fuzzy), the indirect adaptive
 fuzzy controller with H-infinity auxiliary term (afhc), and the experiment
 harness with its CLI (config, harness, cli).
@@ -58,12 +58,10 @@ from .plant import (
     DynamicsOverflowError,
     PendulumParams,
     PlantModel,
-    chain_derivative,
     pendulum,
     pendulum_f,
     pendulum_g,
     rk4_step,
-    state_vec,
 )
 
 __version__ = "0.1.0"

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lti
 from .fuzzy import FuzzyApproximator
 
 __all__ = [
@@ -67,12 +66,6 @@ def companion(k) -> np.ndarray:
     return a
 
 
-def _is_hurwitz(a: np.ndarray) -> bool:
-    n = a.shape[0]
-    ss = lti.StateSpaceModel(a, np.zeros((n, 0)), np.zeros((0, n)), np.zeros((0, 0)))
-    return lti.is_stable(ss)
-
-
 @dataclass(frozen=True, eq=False)
 class LyapunovMatrix:
     """Symmetric positive-definite solution P of a Lyapunov equation.
@@ -105,9 +98,9 @@ def solve_lyapunov(a_c, q) -> LyapunovMatrix:
 
     The equation is solved as the dense Kronecker-sum system
     (I (x) A^T + A^T (x) I) vec(P) = -vec(Q), which is plenty for the small
-    gain matrices used here. A_c must be Hurwitz and Q finite, symmetric and
-    positive definite, otherwise no valid P exists; these rules are checked
-    here and nowhere else.
+    gain matrices used here. A_c must be finite and Hurwitz and Q finite,
+    symmetric and positive definite, otherwise no valid P exists; these
+    rules are checked here and nowhere else.
     """
     a = np.asarray(a_c, dtype=float)
     q = np.atleast_2d(np.asarray(q, dtype=float))
@@ -122,8 +115,9 @@ def solve_lyapunov(a_c, q) -> LyapunovMatrix:
         raise ValueError("Q must be symmetric")
     if np.any(np.linalg.eigvalsh(q) <= 0):
         raise ValueError("Q must be positive definite")
-    if not _is_hurwitz(a):
-        raise ValueError("A_c must be Hurwitz for a positive-definite solution")
+    # eigvals raises LinAlgError, not ValueError, on a non-finite entry
+    if not (np.all(np.isfinite(a)) and np.all(np.linalg.eigvals(a).real < 0)):
+        raise ValueError("A_c must be finite and Hurwitz for a positive-definite solution")
 
     eye = np.eye(n)
     system = np.kron(eye, a.T) + np.kron(a.T, eye)

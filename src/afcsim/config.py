@@ -20,10 +20,10 @@ Schema (defaults in parentheses):
     plant.x0 (0, 0)                 initial state (angle rad, rate rad/s)
     disturbance.d0 (0.1)            disturbance amplitude
     disturbance.omega (2.0)         disturbance frequency, rad/s
-    sensor_channel.delay (0.0)      s, must be a multiple of dt
+    sensor_channel.delay (0.0)      s, a whole number of steps of dt
     sensor_channel.drop_prob (0.0)  in [0, 1)
     sensor_channel.seed (seed + 1)
-    actuator_channel.delay (0.0)
+    actuator_channel.delay (0.0)    s, as sensor_channel.delay
     actuator_channel.drop_prob (0.0)
     actuator_channel.seed (seed + 2)
     controller.k (1, 2)             feedback gains, companion form must be Hurwitz
@@ -48,8 +48,8 @@ MembershipGrid (cfg.fuzzy) and the controller's Lyapunov matrix P
 by the grid's constructors, the controller keys by ControllerConfig and
 afhc.solve_lyapunov; a ValueError from any of them becomes a ConfigError
 naming the key and its line. config itself checks only what no constructor
-owns: list lengths, the step and rule budgets, the reference bounds and
-theta_g_init >= g_min.
+owns: list lengths, the step and rule budgets, the reference bounds, the
+channel delays as whole steps of dt and theta_g_init >= g_min.
 """
 from __future__ import annotations
 
@@ -61,7 +61,7 @@ import numpy as np
 
 from .afhc import ControllerConfig
 from .fuzzy import MembershipGrid, grid_over_box
-from .netchan import ChannelConfig, check_step_multiple
+from .netchan import ChannelConfig
 from .plant import PendulumParams
 
 __all__ = [
@@ -222,17 +222,27 @@ def _reported(prefix: str, where: dict, keys: dict | None = None):
         raise ConfigError(f"invalid '{key}' ({where[key]}): {exc}") from None
 
 
+def check_step_multiple(delay: float, dt: float) -> int:
+    """Validate that a channel delay is a finite, nonnegative, exact multiple
+    of dt; return the multiple."""
+    steps = delay / dt
+    if not 0 <= steps < math.inf:
+        raise ValueError(f"delay ({delay!r}) must be a finite, nonnegative number of steps")
+    k = round(steps)
+    if abs(delay - k * dt) > 1e-9 * dt:
+        raise ValueError(f"delay ({delay!r}) must be an exact multiple of dt ({dt!r})")
+    return k
+
+
 def _channel_config(values, where, prefix: str, dt: float, master_seed: int,
                     default_seed_offset: int, initial_value) -> ChannelConfig:
     seed = values[f"{prefix}.seed"]
     if seed is None:
         seed = master_seed + default_seed_offset
     with _reported(prefix, where):
-        channel = ChannelConfig(delay=values[f"{prefix}.delay"],
-                                drop_prob=values[f"{prefix}.drop_prob"],
-                                seed=seed, initial_value=initial_value)
-        check_step_multiple(channel.delay, dt, "delay")
-    return channel
+        delay_steps = check_step_multiple(values[f"{prefix}.delay"], dt)
+        return ChannelConfig(delay_steps=delay_steps, drop_prob=values[f"{prefix}.drop_prob"],
+                             seed=seed, initial_value=initial_value)
 
 
 def build_config(sources: list) -> ExperimentConfig:

@@ -120,11 +120,15 @@ def grid_over_box(lo, hi, counts, width_scale: float) -> MembershipGrid:
         for l, h, m in zip(lo, hi, counts):
             if m == 1:
                 centers.append(np.array([(l + h) / 2.0]))
-                widths.append(np.array([width_scale * (h - l)]))
+                w = width_scale * (h - l)
             else:
                 c = np.linspace(l, h, m)
                 centers.append(c)
-                widths.append(np.full(m, width_scale * (c[1] - c[0])))
+                w = width_scale * (c[1] - c[0])
+            # the regressor squares (x - c) / w, which reaches (h - l) / w on the box
+            if w > 0 and not ((h - l) / w) ** 2 < math.inf:
+                raise ValueError("widths too small: ((hi - lo) / width) ** 2 overflows")
+            widths.append(np.full(m, w))
     return MembershipGrid(tuple(centers), tuple(widths))
 
 

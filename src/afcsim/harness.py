@@ -107,7 +107,6 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
     drop_sensor = np.zeros(n_steps, dtype=bool)
     drop_actuator = np.zeros(n_steps, dtype=bool)
 
-    n = dyn.n
     x = tuple(cfg.x0.tolist())
     alpha = cfg.controller.filter_alpha
     e_filtered = None
@@ -117,10 +116,10 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
     for i in range(n_steps):
         t = i * cfg.dt
 
-        drop_sense = sensor.push(t, x)
-        x_meas = sensor.output(t)
+        drop_sense = sensor.push(x)
+        x_meas = sensor.output()
 
-        ref = reference_derivatives(cfg.reference.amplitude, cfg.reference.frequency, t, n)
+        ref = reference_derivatives(cfg.reference.amplitude, cfg.reference.frequency, t, 2)
         e_raw = tuple([r - m for r, m in zip(ref, x_meas)])
         e_filtered = e_raw if e_filtered is None else afhc.filter_error(
             e_filtered, e_raw, alpha)
@@ -128,13 +127,12 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
 
         xi = grid.regressor(x_meas)
         if cfg.ideal_model:
-            f_hat = dyn.f(x_meas)
-            g_hat = dyn.g(x_meas)
+            f_hat, g_hat = dyn.fg(x_meas)
         else:
             f_hat, g_hat = np.add.reduce(theta * xi, axis=1).tolist()
 
         try:
-            u = afhc.control_law(cfg.controller, p, f_hat, g_hat, e_filtered, ref[n])
+            u = afhc.control_law(cfg.controller, p, f_hat, g_hat, e_filtered, ref[2])
         except afhc.SingularControlError as exc:
             abort_reason = str(exc)
             break
@@ -142,8 +140,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
             abort_reason = f"non-finite control: u = {u} (f_hat = {f_hat}, g_hat = {g_hat})"
             break
 
-        drop_act = actuator.push(t, u)
-        u_applied = actuator.output(t)
+        drop_act = actuator.push(u)
+        u_applied = actuator.output()
 
         cols["t"][i] = t
         cols["x1"][i] = x[0]

@@ -30,9 +30,6 @@ __all__ = [
     "robustness_margin",
 ]
 
-# Strictness margin for is_stable: eigenvalue real parts must be < -STABILITY_MARGIN.
-STABILITY_MARGIN = 0.0
-
 # An eigenvalue counts as imaginary-axis when |Re| < _IMAG_AXIS_RTOL * (1 + |lambda|).
 _IMAG_AXIS_RTOL = 1e-8
 
@@ -188,13 +185,13 @@ def freq_response(ss: StateSpaceModel, omega: float) -> np.ndarray:
 
 
 def is_stable(ss: StateSpaceModel) -> bool:
-    """True iff every eigenvalue of A has real part < -STABILITY_MARGIN.
+    """True iff every eigenvalue of A has a negative real part.
 
     A zero-state model is stable by convention.
     """
     if ss.n_states == 0:
         return True
-    return float(np.max(np.linalg.eigvals(ss.A).real)) < -STABILITY_MARGIN
+    return float(np.max(np.linalg.eigvals(ss.A).real)) < 0.0
 
 
 def _sigma_max(mat: np.ndarray) -> float:

@@ -1,8 +1,10 @@
-"""Chain-of-integrators plant models and a fixed-step RK4 integrator.
+"""Cart-pole plant and a fixed-step RK4 integrator for chain-of-integrators
+dynamics.
 
-The plant state is x = (x1, ..., xn) where x1 is the output and each
-x_{i+1} is the derivative of x_i; only the top derivative carries the
-nonlinear terms: dx_n/dt = f(x) + g(x) u + d(t).
+The state is x = (x1, ..., xn) where x1 is the output and each x_{i+1} is
+the derivative of x_i; only the top derivative carries the nonlinear terms:
+dx_n/dt = f(x) + g(x) u + d(t). The simulated plant is the order-2
+pendulum.
 """
 from __future__ import annotations
 
@@ -10,35 +12,19 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 __all__ = [
     "DynamicsOverflowError",
     "PendulumParams",
     "PlantModel",
-    "state_vec",
     "pendulum_f",
     "pendulum_g",
     "pendulum",
-    "chain_derivative",
     "rk4_step",
 ]
 
 
 class DynamicsOverflowError(RuntimeError):
     """Dynamics produced a non-finite value; the simulation step must abort."""
-
-
-def state_vec(values, n: int | None = None) -> np.ndarray:
-    """Validated plant state: a finite 1-D float vector of length n >= 1."""
-    arr = np.asarray(values, dtype=float).reshape(-1)
-    if arr.size < 1:
-        raise ValueError("state vector must have length >= 1")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("state vector contains non-finite entries")
-    if n is not None and arr.size != n:
-        raise ValueError(f"state vector has length {arr.size}, expected {n}")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -58,31 +44,14 @@ class PendulumParams:
 
 @dataclass(frozen=True)
 class PlantModel:
-    """Order-n chain-of-integrators plant with drift f, input gain g, and
-    disturbance d(t).
+    """Chain-of-integrators plant: fg(x) returns the drift and input gain
+    (f(x), g(x)) in one call, and d(t) is the disturbance.
 
-    f and g receive the state as a tuple of n floats. g_floor declares the
-    positive lower bound |g(x)| >= g_floor assumed to hold on the intended
-    operating region; it is not enforced pointwise. fg returns (f(x), g(x))
-    in one call, for a plant whose f and g share work; it defaults to
-    calling f and g.
+    fg receives the state as a tuple of floats.
     """
 
-    n: int
-    f: Callable[[tuple], float]
-    g: Callable[[tuple], float]
+    fg: Callable[[tuple], tuple]
     d: Callable[[float], float]
-    g_floor: float = 0.0
-    fg: Callable[[tuple], tuple] | None = None
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("plant order n must be >= 1")
-        if self.g_floor < 0:
-            raise ValueError("g_floor must be nonnegative")
-        if self.fg is None:
-            f, g = self.f, self.g
-            object.__setattr__(self, "fg", lambda x: (f(x), g(x)))
 
 
 def _pendulum_fg(params: PendulumParams, x1: float, x2: float) -> tuple:
@@ -99,39 +68,31 @@ def _pendulum_fg(params: PendulumParams, x1: float, x2: float) -> tuple:
 
 def pendulum_f(params: PendulumParams, x) -> float:
     """Drift acceleration of the pole angle for the cart-pole benchmark."""
-    x1, x2 = state_vec(x, 2).tolist()
+    x1, x2 = x
     return _pendulum_fg(params, x1, x2)[0]
 
 
 def pendulum_g(params: PendulumParams, x) -> float:
     """Input gain from applied force to pole-angle acceleration."""
-    x1, x2 = state_vec(x, 2).tolist()
+    x1, x2 = x
     return _pendulum_fg(params, x1, x2)[1]
 
 
 def pendulum(params: PendulumParams = PendulumParams(),
-             d0: float = 0.0, omega_d: float = 0.0,
-             g_floor: float = 0.5) -> PlantModel:
+             d0: float = 0.0, omega_d: float = 0.0) -> PlantModel:
     """Two-state pole-balancing plant with sinusoidal disturbance d0 sin(w t).
 
-    The default g_floor of 0.5 holds for |x1| <= pi/3 with the default
-    parameters. f, g and fg take any indexable state and skip the validation
-    of pendulum_f and pendulum_g: the integrator checks each stage instead.
+    fg takes any indexable state and checks nothing: the integrator checks
+    each stage instead.
     """
 
     def fg(x) -> tuple:
         return _pendulum_fg(params, x[0], x[1])
 
-    def f(x) -> float:
-        return fg(x)[0]
-
-    def g(x) -> float:
-        return fg(x)[1]
-
     def d(t: float) -> float:
         return d0 * math.sin(omega_d * t)
 
-    return PlantModel(n=2, f=f, g=g, d=d, g_floor=g_floor, fg=fg)
+    return PlantModel(fg=fg, d=d)
 
 
 def _stage(plant: PlantModel, x: tuple, u_applied: float, d_value: float) -> tuple:
@@ -143,18 +104,12 @@ def _stage(plant: PlantModel, x: tuple, u_applied: float, d_value: float) -> tup
     return x[1:] + (top,)
 
 
-def chain_derivative(plant: PlantModel, x, u_applied: float, t: float) -> np.ndarray:
-    """Time derivative (x2, ..., xn, f(x) + g(x) u + d(t)) of the chain."""
-    x = tuple(state_vec(x, plant.n).tolist())
-    return np.array(_stage(plant, x, u_applied, plant.d(t)))
-
-
 def rk4_step(plant: PlantModel, x, u_applied: float, t: float,
              dt: float) -> tuple:
     """Classical fourth-order Runge-Kutta advance by dt; returns the new state
     as a tuple of floats.
 
-    x is any sequence of plant.n finite floats; it is not re-validated here.
+    x is any sequence of finite floats; it is not re-validated here.
     Both the applied input and the disturbance value d(t) are held constant
     over the step (zero-order hold), matching sampled actuation. The stages
     are evaluated componentwise in the order of the vector form

@@ -27,7 +27,7 @@ def test_criterion_2_networked_stability():
     # actuator delay 20 ms, 10 % loss, disturbance on, 60 s horizon
     cfg = config.build_config([("preset", config.preset_text("networked")),
                                ("override", "duration = 60")])
-    assert cfg.actuator_channel.delay == 0.02
+    assert cfg.actuator_channel.delay_steps == 20
     assert cfg.actuator_channel.drop_prob == 0.1
     assert cfg.disturbance.d0 > 0
     trace, metrics = harness.run_experiment(cfg)
@@ -46,7 +46,7 @@ def test_criterion_3_lyapunov_decrement():
     amp = math.pi / 30.0
     cfg = config.parse_config(
         f"ideal_model = true\ndisturbance.d0 = 0\nplant.x0 = -0.1, {amp}\nduration = 30")
-    assert cfg.sensor_channel.delay == 0.0 and cfg.actuator_channel.delay == 0.0
+    assert cfg.sensor_channel.delay_steps == 0 and cfg.actuator_channel.delay_steps == 0
     trace, metrics = harness.run_experiment(cfg)
     assert trace.e[0] == pytest.approx(0.1, abs=1e-15)
     assert trace.v[0] == pytest.approx(0.015, rel=1e-9)   # E0' P E0, P=[[1.5,.5],[.5,.5]]
@@ -120,21 +120,20 @@ def test_criterion_6_fuzzy_approximator_quality():
 
 
 def test_criterion_7_channel_correctness():
-    dt = 0.001
     k = 20
-    ch = netchan.Channel(netchan.ChannelConfig(delay=k * dt, drop_prob=0.0,
+    ch = netchan.Channel(netchan.ChannelConfig(delay_steps=k, drop_prob=0.0,
                                                seed=3, initial_value=0.0))
     values = np.sin(np.arange(500) * 0.1)
     outs = []
-    for i, v in enumerate(values):
-        ch.push(i * dt, v)
-        outs.append(ch.output(i * dt))
+    for v in values:
+        ch.push(v)
+        outs.append(ch.output())
     assert np.array_equal(outs[k:], values[:-k])
     assert np.all(np.asarray(outs[:k]) == 0.0)
 
     def drop_flags(seed, prob, n):
         ch = netchan.Channel(netchan.ChannelConfig(drop_prob=prob, seed=seed))
-        return [ch.push(i * dt, 0.0) for i in range(n)]
+        return [ch.push(0.0) for _ in range(n)]
 
     assert drop_flags(99, 0.5, 5000) == drop_flags(99, 0.5, 5000)
     assert drop_flags(99, 0.5, 5000) == (np.random.default_rng(99).random(5000) < 0.5).tolist()
@@ -149,7 +148,7 @@ def test_criterion_7_channel_correctness():
 
 
 def test_criterion_8_integrator_order():
-    decay = plant.PlantModel(n=1, f=lambda x: -x[0], g=lambda x: 0.0, d=lambda t: 0.0)
+    decay = plant.PlantModel(fg=lambda x: (-x[0], 0.0), d=lambda t: 0.0)
 
     def final_error(dt):
         x = np.array([1.0])

@@ -38,6 +38,12 @@ def test_lyapunov_rejects_non_hurwitz():
         afhc.solve_lyapunov([[1.0]], [[1.0]])
 
 
+def test_lyapunov_rejects_non_finite_a_c():
+    # eigvals alone would raise LinAlgError ("Array must not contain infs or NaNs")
+    with pytest.raises(ValueError, match="^A_c"):
+        afhc.solve_lyapunov([[0.0, 1.0], [np.nan, -2.0]], np.eye(2))
+
+
 def test_lyapunov_random_hurwitz_systems():
     rng = np.random.default_rng(9)
     for _ in range(20):

@@ -16,7 +16,7 @@ def test_empty_document_gives_nominal_defaults():
     assert cfg.reference.frequency == 1.0
     assert cfg.plant.cart_mass == 1.0 and cfg.plant.pole_mass == 0.1
     assert cfg.disturbance.d0 == 0.1 and cfg.disturbance.omega == 2.0
-    assert cfg.sensor_channel.delay == 0.0 and cfg.actuator_channel.delay == 0.0
+    assert cfg.sensor_channel.delay_steps == 0 and cfg.actuator_channel.delay_steps == 0
     assert cfg.sensor_channel.drop_prob == 0.0
     assert np.array_equal(cfg.controller.k, [1.0, 2.0])
     assert np.array_equal(cfg.controller.q, np.eye(2))
@@ -30,8 +30,8 @@ def test_empty_document_gives_nominal_defaults():
 
 def test_single_override_keeps_other_defaults():
     cfg = config.parse_config("actuator_channel.delay = 0.02")
-    assert cfg.actuator_channel.delay == 0.02
-    assert cfg.sensor_channel.delay == 0.0
+    assert cfg.actuator_channel.delay_steps == 20
+    assert cfg.sensor_channel.delay_steps == 0
     assert cfg.duration == 30.0
 
 
@@ -106,6 +106,16 @@ def test_missing_equals_rejected():
     ("duration = 5\ncontroller.k = 1e-300, 1e-320", r"'controller\.k' \(config line 2\)"),
     ("duration = 5\ncontroller.k = 1e154, 1e-300", r"'controller\.k' \(config line 2\)"),
     ("duration = 5\ncontroller.k = 1, 2, 3", r"'controller\.k' \(config line 2\): k must have"),
+    ("duration = 5\nactuator_channel.delay = nan", r"'actuator_channel\.delay' \(config line 2\)"),
+    ("duration = 5\nsensor_channel.delay = -0.1", r"'sensor_channel\.delay' \(config line 2\)"),
+    ("duration = 5\nactuator_channel.delay = inf", r"'actuator_channel\.delay' \(config line 2\)"),
+    ("duration = 5\nsensor_channel.delay = 0.0205",
+     r"'sensor_channel\.delay' \(config line 2\): delay \(0\.0205\) must be an exact multiple"),
+    ("fuzzy.counts = 1, 5\nfuzzy.width_scale = 1e-320",
+     r"'fuzzy\.width_scale' \(config line 2\): widths"),
+    ("duration = 5\nfuzzy.width_scale = 1e-160", r"'fuzzy\.width_scale' \(config line 2\): widths"),
+    ("fuzzy.counts = 1, 1\nfuzzy.width_scale = 1e-160",
+     r"'fuzzy\.width_scale' \(config line 2\): widths"),
 ])
 def test_invariant_violations_rejected(text, match):
     with pytest.raises(config.ConfigError, match=match) as excinfo:
@@ -137,15 +147,15 @@ def test_sample_period_key_rejected():
 
 def test_networked_preset():
     cfg = config.build_config([("preset", config.preset_text("networked"))])
-    assert cfg.actuator_channel.delay == 0.02
+    assert cfg.actuator_channel.delay_steps == 20
     assert cfg.actuator_channel.drop_prob == 0.1
-    assert cfg.sensor_channel.delay == 0.0
+    assert cfg.sensor_channel.delay_steps == 0
     assert cfg.controller.filter_alpha == 0.2
 
 
 def test_stress_preset():
     cfg = config.build_config([("preset", config.preset_text("stress"))])
-    assert cfg.actuator_channel.delay == 0.05
+    assert cfg.actuator_channel.delay_steps == 50
     assert cfg.actuator_channel.drop_prob == 0.2
 
 
@@ -159,7 +169,7 @@ def test_later_sources_override_earlier_ones():
         ("preset", config.preset_text("networked")),
         ("file", "actuator_channel.delay = 0.01\nduration = 7"),
     ])
-    assert cfg.actuator_channel.delay == 0.01
+    assert cfg.actuator_channel.delay_steps == 10
     assert cfg.actuator_channel.drop_prob == 0.1
     assert cfg.duration == 7.0
 

@@ -71,6 +71,13 @@ def test_actuator_delay_shifts_applied_input():
     assert np.all(trace.u_applied[:k] == 0.0)
 
 
+def test_smallest_accepted_width_scale_runs():
+    # fuzzy.width_scale = 1e-160 is rejected (its squared scaled distances
+    # overflow on the box); 1e-150 does not overflow and must still run
+    _, trace, metrics = run_text("fuzzy.width_scale = 1e-150\nduration = 1")
+    assert not metrics.diverged and len(trace) == 1000
+
+
 def test_sensor_drops_hold_last_measurement():
     cfg, trace, _ = run_text("sensor_channel.drop_prob = 0.3\nduration = 2")
     dropped = np.flatnonzero(trace.drop_sensor)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from afcsim import netchan
 
 
 def make_channel(**kwargs):
-    defaults = dict(delay=0.0, drop_prob=0.0, seed=1)
+    defaults = dict(delay_steps=0, drop_prob=0.0, seed=1)
     defaults.update(kwargs)
     return netchan.Channel(netchan.ChannelConfig(**defaults))
 
@@ -17,39 +18,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         netchan.ChannelConfig(drop_prob=1.0)
     with pytest.raises(ValueError):
-        netchan.ChannelConfig(delay=-0.1)
-    for delay in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="delay"):
-            netchan.ChannelConfig(delay=delay)
-    with pytest.raises(ValueError):
         netchan.ChannelConfig(seed=-1)
     netchan.ChannelConfig(drop_prob=0.9999)  # < 1 allowed
 
 
-def test_check_step_multiple():
-    assert netchan.check_step_multiple(0.02, 0.001, "delay") == 20
-    with pytest.raises(ValueError, match="delay"):
-        netchan.check_step_multiple(0.0205, 0.001, "delay")
-
-
-def test_push_requires_strictly_increasing_times():
-    ch = make_channel()
-    ch.push(0.0, 1.0)
-    with pytest.raises(ValueError, match="strictly increasing"):
-        ch.push(0.0, 2.0)
-
-
-def test_output_requires_nondecreasing_times():
-    ch = make_channel()
-    ch.output(1.0)
-    ch.output(1.0)
-    with pytest.raises(ValueError, match="nondecreasing"):
-        ch.output(0.5)
-
-
 def test_no_drops_when_probability_zero():
     ch = make_channel(drop_prob=0.0)
-    samples = [ch.push(i * 0.01, float(i)) for i in range(200)]
+    samples = [ch.push(float(i)) for i in range(200)]
     assert not any(samples)
 
 
@@ -57,8 +32,8 @@ def test_seeded_drop_sequence_replays_bit_identically():
     # oracle: the documented generator is numpy's default PCG64 stream
     ch_a = make_channel(drop_prob=0.5, seed=99)
     ch_b = make_channel(drop_prob=0.5, seed=99)
-    seq_a = [ch_a.push(i * 0.01, 0.0) for i in range(2000)]
-    seq_b = [ch_b.push(i * 0.01, 0.0) for i in range(2000)]
+    seq_a = [ch_a.push(0.0) for _ in range(2000)]
+    seq_b = [ch_b.push(0.0) for _ in range(2000)]
     oracle = (np.random.default_rng(99).random(2000) < 0.5).tolist()
     assert seq_a == seq_b == oracle
 
@@ -67,7 +42,7 @@ def test_block_drawn_flags_equal_sequential_draws():
     # flags come from blocks of DROP_BLOCK draws; 10,000 pushes cross two
     # block boundaries and must see the generator's single draws
     ch = make_channel(drop_prob=0.3, seed=7)
-    flags = [ch.push(i * 0.01, 0.0) for i in range(10_000)]
+    flags = [ch.push(0.0) for _ in range(10_000)]
     rng = np.random.default_rng(7)
     assert 10_000 > 2 * netchan.DROP_BLOCK
     assert flags == [rng.random() < 0.3 for _ in range(10_000)]
@@ -77,50 +52,55 @@ def test_block_drawn_flags_equal_sequential_draws():
 def test_empirical_drop_rate_within_three_sigma(prob, seed):
     n = 10_000
     ch = make_channel(drop_prob=prob, seed=seed)
-    drops = sum(ch.push(i * 0.01, 0.0) for i in range(n))
+    drops = sum(ch.push(0.0) for _ in range(n))
     sigma = math.sqrt(prob * (1.0 - prob) / n)
     assert abs(drops / n - prob) <= 3.0 * sigma
 
 
 def test_delay_line_hand_example():
-    # push value = send_time every 10 ms through a 100 ms delay
-    ch = make_channel(delay=0.1)
+    # push value = send_time every 10 ms through a 100 ms (10-step) delay
+    ch = make_channel(delay_steps=10)
     for i in range(26):
-        ch.push(i * 0.01, i * 0.01)
-    assert ch.output(0.25) == pytest.approx(0.15, abs=1e-12)
+        ch.push(i * 0.01)
+    assert ch.output() == pytest.approx(0.15, abs=1e-12)
 
 
 def test_initial_value_before_first_delivery():
-    ch = make_channel(delay=0.5, initial_value=-3.0)
-    ch.push(0.0, 42.0)
-    assert ch.output(0.1) == -3.0
-    assert ch.output(0.5) == 42.0
+    ch = make_channel(delay_steps=5, initial_value=-3.0)
+    ch.push(42.0)
+    assert ch.output() == -3.0
+    for _ in range(4):
+        ch.push(0.0)
+        assert ch.output() == -3.0
+    ch.push(0.0)
+    assert ch.output() == 42.0
 
 
 def test_vector_payload_passes_through_whole():
-    ch = make_channel(delay=0.02, initial_value=(0.5, -0.5))
+    ch = make_channel(delay_steps=2, initial_value=(0.5, -0.5))
+    outputs = []
     for i in range(5):
-        ch.push(i * 0.01, (float(i), -float(i)))
-    assert ch.output(0.01) == (0.5, -0.5)
-    assert ch.output(0.04) == (2.0, -2.0)
+        ch.push((float(i), -float(i)))
+        outputs.append(ch.output())
+    assert outputs[1] == (0.5, -0.5)
+    assert outputs[4] == (2.0, -2.0)
 
 
 def test_zero_delay_channel_is_identity():
-    ch = make_channel(delay=0.0)
+    ch = make_channel(delay_steps=0)
     for i in range(20):
-        ch.push(i * 0.01, float(i) ** 2)
-        assert ch.output(i * 0.01) == float(i) ** 2
+        ch.push(float(i) ** 2)
+        assert ch.output() == float(i) ** 2
 
 
 def test_exact_shift_by_k_steps():
-    dt = 0.01
     k = 7
-    ch = make_channel(delay=k * dt, initial_value=-1.0)
+    ch = make_channel(delay_steps=k, initial_value=-1.0)
     values = np.arange(100, dtype=float)
     outputs = []
-    for i, v in enumerate(values):
-        ch.push(i * dt, v)
-        outputs.append(ch.output(i * dt))
+    for v in values:
+        ch.push(v)
+        outputs.append(ch.output())
     assert outputs[:k] == [-1.0] * k
     assert np.array_equal(outputs[k:], values[:-k])
 
@@ -128,26 +108,57 @@ def test_exact_shift_by_k_steps():
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=25))
 def test_exact_shift_for_any_step_delay(k):
-    dt = 0.01
-    ch = make_channel(delay=k * dt, initial_value=math.nan)
+    ch = make_channel(delay_steps=k, initial_value=math.nan)
     values = np.linspace(-5.0, 5.0, 60)
     outputs = []
-    for i, v in enumerate(values):
-        ch.push(i * dt, v)
-        outputs.append(ch.output(i * dt))
+    for v in values:
+        ch.push(v)
+        outputs.append(ch.output())
     assert all(math.isnan(v) for v in outputs[:k])
     assert np.array_equal(outputs[k:], values[:values.size - k])
 
 
+def test_first_delivery_at_exactly_the_delay_for_a_long_delay():
+    # a delay of 1,000 s at dt = 1 ms; the payload pushed first must come
+    # out at push 1,000,000 and not one push early
+    k = 1_000_000
+    first = object()
+    ch = make_channel(delay_steps=k, initial_value=None)
+    ch.push(first)
+    assert ch.output() is None
+    for _ in range(k - 1):
+        ch.push(None)
+        ch.output()
+    assert ch.output() is None
+    ch.push(None)
+    assert ch.output() is first
+
+
+def test_line_memory_does_not_grow_with_the_delay():
+    # 10**12 steps of delay: a line that reserved a slot per step of delay
+    # would need terabytes, so allocation must follow the pushes only
+    tracemalloc.start()
+    try:
+        ch = make_channel(delay_steps=10 ** 12, initial_value=-1.0)
+        outputs = []
+        for i in range(5):
+            ch.push(float(i))
+            outputs.append(ch.output())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outputs == [-1.0] * 5
+    assert peak < 1_000_000
+
+
 def test_fifo_order_for_any_seed():
     for seed in (0, 3, 12345):
-        ch = make_channel(delay=0.05, drop_prob=0.4, seed=seed)
-        for i in range(300):
-            ch.push(i * 0.01, float(i))
+        ch = make_channel(delay_steps=5, drop_prob=0.4, seed=seed)
         delivered = []
         last = -1.0
-        for i in range(300, 400):
-            out = ch.output(i * 0.01)
+        for i in range(400):
+            ch.push(float(i))
+            out = ch.output()
             if out != last:
                 delivered.append(out)
                 last = out
@@ -155,10 +166,10 @@ def test_fifo_order_for_any_seed():
 
 
 def test_hold_between_deliveries():
-    ch = make_channel(delay=0.0)
-    ch.push(0.0, 5.0)
-    for t in np.linspace(0.0, 1.0, 50):
-        assert ch.output(t) == 5.0
+    ch = make_channel(delay_steps=0)
+    ch.push(5.0)
+    for _ in range(50):
+        assert ch.output() == 5.0
 
 
 @settings(max_examples=25, deadline=None)
@@ -166,13 +177,12 @@ def test_hold_between_deliveries():
        st.lists(st.floats(-100, 100), min_size=1, max_size=60))
 def test_determinism_for_seed_and_push_sequence(seed, values):
     def run():
-        ch = make_channel(drop_prob=0.3, delay=0.02, seed=seed)
+        ch = make_channel(drop_prob=0.3, delay_steps=2, seed=seed)
         flags = []
         outs = []
-        for i, v in enumerate(values):
-            flags.append(ch.push(i * 0.01, v))
-            outs.append(ch.output(i * 0.01))
+        for v in values:
+            flags.append(ch.push(v))
+            outs.append(ch.output())
         return flags, outs
 
     assert run() == run()
-

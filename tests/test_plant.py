@@ -18,18 +18,6 @@ def test_params_must_be_positive():
             plant.PendulumParams(**{field: 0.0})
 
 
-def test_state_vec_validation():
-    assert np.array_equal(plant.state_vec([1.0, 2.0]), [1.0, 2.0])
-    with pytest.raises(ValueError):
-        plant.state_vec([])
-    with pytest.raises(ValueError):
-        plant.state_vec([1.0, np.nan])
-    with pytest.raises(ValueError):
-        plant.state_vec([1.0, np.inf])
-    with pytest.raises(ValueError):
-        plant.state_vec([1.0], n=2)
-
-
 # ----------------------------------------------------------------- pendulum_f
 
 def test_pendulum_f_zero_at_origin():
@@ -75,55 +63,28 @@ def test_pendulum_f_g_slopes_bounded_on_dense_grid():
             assert np.max(np.abs(vals_h - vals) / h) < 100.0
 
 
-# ----------------------------------------------------------- chain_derivative
-
-def constant_plant(f=0.0, g=1.0, d=0.0, n=2):
-    return plant.PlantModel(n=n, f=lambda x: f, g=lambda x: g, d=lambda t: d)
-
-
-def test_chain_derivative_equilibrium():
-    assert np.array_equal(plant.chain_derivative(constant_plant(), [0.0, 0.0], 0.0, 0.0),
-                          [0.0, 0.0])
-
-
-def test_chain_derivative_substitution():
-    out = plant.chain_derivative(constant_plant(), [1.0, 2.0], 3.0, 0.0)
-    assert np.array_equal(out, [2.0, 3.0])
-
-
-def test_chain_derivative_disturbance_passthrough():
-    out = plant.chain_derivative(constant_plant(d=0.5), [0.0, 0.0], 0.0, 0.0)
-    assert np.array_equal(out, [0.0, 0.5])
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_chain_derivative_length_matches_order(n):
-    out = plant.chain_derivative(constant_plant(n=n), np.zeros(n), 0.0, 0.0)
-    assert out.shape == (n,)
-
-
-def test_chain_derivative_overflow_aborts():
-    bad = plant.PlantModel(n=1, f=lambda x: math.inf, g=lambda x: 1.0, d=lambda t: 0.0)
-    with pytest.raises(plant.DynamicsOverflowError, match="overflow"):
-        plant.chain_derivative(bad, [0.0], 0.0, 0.0)
-
-
 def test_feedback_linearization_identity():
+    # u = (g(x))^-1 (-f(x) + v) from fg must make the plant's top derivative
+    # v + d(t); a step short enough to leave it nearly constant measures it
     pend = plant.pendulum(DEFAULTS, d0=0.3, omega_d=2.0)
     rng = np.random.default_rng(4)
+    h = 1e-8
     for _ in range(50):
-        x = np.array([rng.uniform(-1.0, 1.0), rng.uniform(-2.0, 2.0)])
+        x = (rng.uniform(-1.0, 1.0), rng.uniform(-2.0, 2.0))
         v = rng.uniform(-5.0, 5.0)
         t = rng.uniform(0.0, 10.0)
-        u = (-pend.f(x) + v) / pend.g(x)
-        out = plant.chain_derivative(pend, x, u, t)
-        assert out[-1] == pytest.approx(v + pend.d(t), abs=1e-12)
+        f, g = pend.fg(x)
+        assert (f, g) == (plant.pendulum_f(DEFAULTS, x), plant.pendulum_g(DEFAULTS, x))
+        u = (-f + v) / g
+        assert f + g * u == pytest.approx(v, abs=1e-12)
+        out = plant.rk4_step(pend, x, u, t, h)
+        assert (out[1] - x[1]) / h == pytest.approx(v + pend.d(t), abs=1e-5)
 
 
 # ------------------------------------------------------------------- rk4_step
 
 def decay_plant():
-    return plant.PlantModel(n=1, f=lambda x: -x[0], g=lambda x: 0.0, d=lambda t: 0.0)
+    return plant.PlantModel(fg=lambda x: (-x[0], 0.0), d=lambda t: 0.0)
 
 
 def test_rk4_single_step_against_analytic_decay():
@@ -132,7 +93,7 @@ def test_rk4_single_step_against_analytic_decay():
 
 
 def test_rk4_exact_on_double_integrator():
-    pl = plant.PlantModel(n=2, f=lambda x: 0.0, g=lambda x: 1.0, d=lambda t: 0.0)
+    pl = plant.PlantModel(fg=lambda x: (0.0, 1.0), d=lambda t: 0.0)
     x = np.zeros(2)
     for i in range(10):
         x = plant.rk4_step(pl, x, 1.0, i * 0.1, 0.1)
@@ -141,7 +102,7 @@ def test_rk4_exact_on_double_integrator():
 
 
 def test_rk4_zero_field_keeps_state():
-    pl = plant.PlantModel(n=2, f=lambda x: 0.0, g=lambda x: 0.0, d=lambda t: 0.0)
+    pl = plant.PlantModel(fg=lambda x: (0.0, 0.0), d=lambda t: 0.0)
     x = np.array([0.7, 0.0])
     out = plant.rk4_step(pl, x, 5.0, 0.0, 0.01)
     assert np.array_equal(out, [0.7, 0.0])
@@ -170,9 +131,10 @@ def test_rk4_fourth_order_error_reduction():
 # ------------------------------------------- bit identity with the vector form
 
 def _vector_chain(pl, x, u_applied, d_value):
-    out = np.empty(pl.n)
+    f, g = pl.fg(x)
+    out = np.empty(x.size)
     out[:-1] = x[1:]
-    out[-1] = pl.f(x) + pl.g(x) * u_applied + d_value
+    out[-1] = f + g * u_applied + d_value
     return out
 
 
@@ -206,7 +168,7 @@ def vector_pendulum(params, d0, omega_d):
     def g(x):
         return math.cos(x[0]) / total / denominator(x[0])
 
-    return plant.PlantModel(n=2, f=f, g=g, d=lambda t: d0 * math.sin(omega_d * t))
+    return plant.PlantModel(fg=lambda x: (f(x), g(x)), d=lambda t: d0 * math.sin(omega_d * t))
 
 
 def test_rk4_bit_identical_to_vector_form_on_random_states():
@@ -231,8 +193,8 @@ def test_rk4_bit_identical_to_vector_form_on_random_states():
 @pytest.mark.parametrize("n", [1, 3])
 def test_rk4_bit_identical_to_vector_form_for_other_orders(n):
     rng = np.random.default_rng(n)
-    pl = plant.PlantModel(n=n, f=lambda x: -math.sin(x[0]) - 0.3 * x[-1],
-                          g=lambda x: 1.0 + 0.5 * math.cos(x[0]),
+    pl = plant.PlantModel(fg=lambda x: (-math.sin(x[0]) - 0.3 * x[-1],
+                                        1.0 + 0.5 * math.cos(x[0])),
                           d=lambda t: 0.2 * math.sin(3.0 * t))
     for _ in range(200):
         x = rng.uniform(-2.0, 2.0, size=n)
@@ -241,8 +203,14 @@ def test_rk4_bit_identical_to_vector_form_for_other_orders(n):
         assert out.tobytes() == vector_rk4(pl, x, u, t, 0.01).tobytes()
 
 
+def test_rk4_non_finite_derivative_aborts():
+    bad = plant.PlantModel(fg=lambda x: (math.inf, 1.0), d=lambda t: 0.0)
+    with pytest.raises(plant.DynamicsOverflowError, match="non-finite derivative"):
+        plant.rk4_step(bad, (0.0,), 0.0, 0.0, 0.1)
+
+
 def test_rk4_overflowing_state_aborts():
     # every stage derivative is finite; only the new state overflows
-    steep = plant.PlantModel(n=1, f=lambda x: 1e308, g=lambda x: 0.0, d=lambda t: 0.0)
+    steep = plant.PlantModel(fg=lambda x: (1e308, 0.0), d=lambda t: 0.0)
     with pytest.raises(plant.DynamicsOverflowError, match="non-finite state"):
         plant.rk4_step(steep, (1.7e308,), 0.0, 0.0, 1.0)
