@@ -8,7 +8,6 @@ harness with its CLI (config, harness, cli).
 """
 from .afhc import (
     ControllerConfig,
-    LyapunovMatrix,
     SingularControlError,
     adapt_step,
     companion,

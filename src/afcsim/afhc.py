@@ -36,7 +36,6 @@ from .fuzzy import FuzzyApproximator
 __all__ = [
     "SingularControlError",
     "ControllerConfig",
-    "LyapunovMatrix",
     "companion",
     "solve_lyapunov",
     "filter_error",
@@ -66,41 +65,15 @@ def companion(k) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
-class LyapunovMatrix:
-    """Symmetric positive-definite solution P of a Lyapunov equation.
-
-    rows holds the entries of P as a tuple of rows of Python floats, which
-    the control step reads.
-    """
-
-    P: np.ndarray
-    rows: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        p = np.asarray(self.P, dtype=float)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise ValueError("P must be a square matrix")
-        if not np.allclose(p, p.T, rtol=0, atol=1e-9 * (1 + np.abs(p).max())):
-            raise ValueError("P must be symmetric")
-        if np.any(np.linalg.eigvalsh(p) <= 0):
-            raise ValueError("P must be positive definite")
-        # halving each term first cannot overflow; for normal floats it
-        # rounds exactly as 0.5 * (p + p.T) does
-        p = 0.5 * p + 0.5 * p.T
-        p.setflags(write=False)
-        object.__setattr__(self, "P", p)
-        object.__setattr__(self, "rows", tuple(map(tuple, p.tolist())))
-
-
-def solve_lyapunov(a_c, q) -> LyapunovMatrix:
+def solve_lyapunov(a_c, q) -> np.ndarray:
     """Solve A_c^T P + P A_c = -Q for symmetric positive-definite P.
 
     The equation is solved as the dense Kronecker-sum system
     (I (x) A^T + A^T (x) I) vec(P) = -vec(Q), which is plenty for the small
     gain matrices used here. A_c must be finite and Hurwitz and Q finite,
     symmetric and positive definite, otherwise no valid P exists; these
-    rules are checked here and nowhere else.
+    rules, and that P itself is symmetric and positive definite, are checked
+    here and nowhere else. Returns P as a read-only, exactly symmetric array.
     """
     a = np.asarray(a_c, dtype=float)
     q = np.atleast_2d(np.asarray(q, dtype=float))
@@ -132,7 +105,15 @@ def solve_lyapunov(a_c, q) -> LyapunovMatrix:
         tolerance = 1e-9 * max(1.0, np.linalg.norm(q))
     if not residual <= tolerance:
         raise ValueError(f"P misses the Lyapunov equation: residual {residual:.3e}")
-    return LyapunovMatrix(p)
+    if not np.allclose(p, p.T, rtol=0, atol=1e-9 * (1 + np.abs(p).max())):
+        raise ValueError("P must be symmetric")
+    if np.any(np.linalg.eigvalsh(p) <= 0):
+        raise ValueError("P must be positive definite")
+    # halving each term first cannot overflow; for normal floats it
+    # rounds exactly as 0.5 * (p + p.T) does
+    p = 0.5 * p + 0.5 * p.T
+    p.setflags(write=False)
+    return p
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,9 +121,9 @@ class ControllerConfig:
     """Tuning for the adaptive loop and the Lyapunov matrix p it implies.
 
     Validated at construction: solve_lyapunov(companion(k), q) owns the
-    Hurwitz rule on k and every rule on Q, and p is its solution. The
-    control step is written out for an order-2 error vector, so k holds
-    exactly two gains, kept as a tuple of Python floats.
+    Hurwitz rule on k and every rule on Q. The control step is written out
+    for an order-2 error vector, so k holds exactly two gains; k and p, the
+    rows of P, are kept as Python floats, which the step reads.
     """
 
     k: tuple = (1.0, 2.0)
@@ -153,7 +134,7 @@ class ControllerConfig:
     g_min: float = 0.1
     u_max: float = 180.0
     filter_alpha: float = 1.0
-    p: LyapunovMatrix = field(init=False, repr=False)
+    p: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         k = np.asarray(self.k, dtype=float).reshape(-1)
@@ -172,7 +153,7 @@ class ControllerConfig:
         q.setflags(write=False)
         object.__setattr__(self, "k", tuple(k.tolist()))
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", tuple(map(tuple, p.tolist())))
 
 
 def filter_error(e_prev_filtered, e_raw, filter_alpha: float) -> tuple:
@@ -186,15 +167,15 @@ def filter_error(e_prev_filtered, e_raw, filter_alpha: float) -> tuple:
                   for prev, raw in zip(e_prev_filtered, e_raw)])
 
 
-def h_infinity_term(p: LyapunovMatrix, e_vec, r: float) -> float:
+def h_infinity_term(cfg: ControllerConfig, e_vec) -> float:
     """Auxiliary control u_a = (1/r) B^T P E with B the last unit vector."""
     e0, e1 = e_vec
-    p10, p11 = p.rows[1]
-    return (p10 * e0 + p11 * e1) / r
+    p10, p11 = cfg.p[1]
+    return (p10 * e0 + p11 * e1) / cfg.r
 
 
-def control_law(cfg: ControllerConfig, p: LyapunovMatrix, f_hat: float,
-                g_hat: float, e_vec, ydn: float) -> float:
+def control_law(cfg: ControllerConfig, f_hat: float, g_hat: float, e_vec,
+                ydn: float) -> float:
     """Certainty-equivalence control, saturated to [-u_max, u_max].
 
     ydn is the second derivative of the reference and e_vec the error
@@ -208,7 +189,7 @@ def control_law(cfg: ControllerConfig, p: LyapunovMatrix, f_hat: float,
             f"singular control: |g_hat|={abs(g_hat):.3e} < g_min={cfg.g_min:.3e}")
     e0, e1 = e_vec
     k0, k1 = cfg.k
-    u = (-f_hat + ydn + (k0 * e0 + k1 * e1) + h_infinity_term(p, e_vec, cfg.r)) / g_hat
+    u = (-f_hat + ydn + (k0 * e0 + k1 * e1) + h_infinity_term(cfg, e_vec)) / g_hat
     return min(max(u, -cfg.u_max), cfg.u_max)
 
 
@@ -224,8 +205,8 @@ def project_theta_g(approx_g: FuzzyApproximator, g_min: float) -> np.ndarray:
 
 
 def adapt_step(approx_f: FuzzyApproximator, approx_g: FuzzyApproximator,
-               xi: np.ndarray, e_vec, p: LyapunovMatrix, u: float,
-               cfg: ControllerConfig, dt: float) -> tuple:
+               xi: np.ndarray, e_vec, u: float, cfg: ControllerConfig,
+               dt: float) -> tuple:
     """One explicit-Euler step of the gradient adaptation laws, in place.
 
     Updates theta_f and theta_g from the adaptation signal s = E^T P B and
@@ -237,7 +218,7 @@ def adapt_step(approx_f: FuzzyApproximator, approx_g: FuzzyApproximator,
     if theta is None or approx_g.theta.base is not theta:
         raise ValueError("approx_f and approx_g must share one theta array (fuzzy.paired)")
     e0, e1 = e_vec
-    p10, p11 = p.rows[1]
+    p10, p11 = cfg.p[1]
     s = p10 * e0 + p11 * e1
     theta += np.multiply.outer((dt * (-cfg.gamma_f * s), dt * (-cfg.gamma_g * s * u)), xi)
     project_theta_g(approx_g, cfg.g_min)

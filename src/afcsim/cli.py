@@ -61,10 +61,8 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         harness.write_trace(trace, out / "trace.csv")
         harness.write_metrics(metrics, out / "metrics.txt")
-        fuzzy.write_theta(out / "theta_f.txt",
-                          fuzzy.FuzzyApproximator(trace.grid, trace.theta_f))
-        fuzzy.write_theta(out / "theta_g.txt",
-                          fuzzy.FuzzyApproximator(trace.grid, trace.theta_g))
+        fuzzy.write_theta(out / "theta_f.txt", trace.grid, trace.theta_f)
+        fuzzy.write_theta(out / "theta_g.txt", trace.grid, trace.theta_g)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -107,6 +107,9 @@ def grid_over_box(lo, hi, counts, width_scale: float) -> MembershipGrid:
     counts = [int(m) for m in counts]
     if not (lo.size == hi.size == len(counts)) or lo.size == 0:
         raise ValueError("lo and hi must have one entry per count (at least one)")
+    for name, bound in (("lo", lo), ("hi", hi)):
+        if not np.all(np.isfinite(bound)):
+            raise ValueError(f"{name} must be finite")
     if not np.all(lo < hi):
         raise ValueError("lo must satisfy lo < hi componentwise")
     if min(counts) < 1:
@@ -169,14 +172,14 @@ def paired(grid: MembershipGrid, theta_f, theta_g) -> tuple:
     return approx_f, approx_g
 
 
-def write_theta(path, approx: FuzzyApproximator) -> None:
+def write_theta(path, grid: MembershipGrid, theta) -> None:
     """Serialize the grid layout (as comments) and theta, one rule per line."""
     lines = ["# rule order: row-major over the membership grid (last input fastest)"]
-    for i, (c, w) in enumerate(zip(approx.grid.centers, approx.grid.widths)):
+    for i, (c, w) in enumerate(zip(grid.centers, grid.widths)):
         lines.append(f"# dim {i} centers: " + " ".join(f"{v:.9e}" for v in c))
         lines.append(f"# dim {i} widths: " + " ".join(f"{v:.9e}" for v in w))
     lines.append("rule theta")
-    for j, value in enumerate(approx.theta):
+    for j, value in enumerate(theta):
         lines.append(f"{j} {value:.9e}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

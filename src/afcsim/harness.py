@@ -10,7 +10,7 @@ deterministic for a fixed configuration, including the channel seeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -67,6 +67,10 @@ class SimulationTrace:
         return self.t.size
 
 
+# The per-step columns are the fields without a default, in TRACE_HEADER's order.
+TRACE_COLUMNS = tuple(f.name for f in fields(SimulationTrace) if f.default is MISSING)
+
+
 @dataclass(frozen=True)
 class Metrics:
     rmse: float
@@ -95,17 +99,13 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
     grid = cfg.fuzzy
     approx_f, approx_g = fuzzy.paired(grid, 0.0, cfg.theta_g_init)
     theta = approx_f.theta.base             # rows theta_f and theta_g
-    p = cfg.controller.p
-    (p00, p01), (p10, p11) = p.rows
+    (p00, p01), (p10, p11) = cfg.controller.p
 
     sensor = netchan.Channel(cfg.sensor_channel)
     actuator = netchan.Channel(cfg.actuator_channel)
 
-    cols = {name: np.empty(n_steps) for name in
-            ("t", "x1", "x2", "xd", "e", "e_filt", "u", "u_applied",
-             "f_hat", "g_hat", "v")}
-    drop_sensor = np.zeros(n_steps, dtype=bool)
-    drop_actuator = np.zeros(n_steps, dtype=bool)
+    cols = {name: np.empty(n_steps, dtype=bool if name.startswith("drop_") else float)
+            for name in TRACE_COLUMNS}
 
     x = tuple(cfg.x0.tolist())
     alpha = cfg.controller.filter_alpha
@@ -132,7 +132,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
             f_hat, g_hat = np.add.reduce(theta * xi, axis=1).tolist()
 
         try:
-            u = afhc.control_law(cfg.controller, p, f_hat, g_hat, e_filtered, ref[2])
+            u = afhc.control_law(cfg.controller, f_hat, g_hat, e_filtered, ref[2])
         except afhc.SingularControlError as exc:
             abort_reason = str(exc)
             break
@@ -154,8 +154,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
         cols["f_hat"][i] = f_hat
         cols["g_hat"][i] = g_hat
         cols["v"][i] = e0 * (p00 * e0 + p01 * e1) + e1 * (p10 * e0 + p11 * e1)
-        drop_sensor[i] = drop_sense
-        drop_actuator[i] = drop_act
+        cols["drop_sensor"][i] = drop_sense
+        cols["drop_actuator"][i] = drop_act
         steps_done = i + 1
 
         try:
@@ -165,25 +165,12 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
             break
 
         if not cfg.ideal_model:
-            afhc.adapt_step(approx_f, approx_g, xi, e_filtered, p, u,
-                            cfg.controller, cfg.dt)
+            afhc.adapt_step(approx_f, approx_g, xi, e_filtered, u, cfg.controller, cfg.dt)
 
     if steps_done == 0:
         raise RuntimeError(f"run aborted before completing one step: {abort_reason}")
     trace = SimulationTrace(
-        t=cols["t"][:steps_done],
-        x1=cols["x1"][:steps_done],
-        x2=cols["x2"][:steps_done],
-        xd=cols["xd"][:steps_done],
-        e=cols["e"][:steps_done],
-        e_filt=cols["e_filt"][:steps_done],
-        u=cols["u"][:steps_done],
-        u_applied=cols["u_applied"][:steps_done],
-        f_hat=cols["f_hat"][:steps_done],
-        g_hat=cols["g_hat"][:steps_done],
-        v=cols["v"][:steps_done],
-        drop_sensor=drop_sensor[:steps_done],
-        drop_actuator=drop_actuator[:steps_done],
+        **{name: col[:steps_done] for name, col in cols.items()},
         abort_reason=abort_reason,
         theta_f=approx_f.theta.copy(),
         theta_g=approx_g.theta.copy(),
@@ -224,10 +211,9 @@ def write_trace(trace: SimulationTrace, path) -> None:
     Rows are formatted in blocks of TRACE_BLOCK_ROWS, so the Python objects
     alive at once do not grow with the trace length.
     """
-    row = ",".join(["%.9e"] * 11 + ["%d", "%d"]) + "\n"
-    columns = (trace.t, trace.x1, trace.x2, trace.xd, trace.e, trace.e_filt, trace.u,
-               trace.u_applied, trace.f_hat, trace.g_hat, trace.v,
-               trace.drop_sensor, trace.drop_actuator)
+    columns = [getattr(trace, name) for name in TRACE_COLUMNS]
+    row = ",".join(["%d" if name.startswith("drop_") else "%.9e"
+                    for name in TRACE_COLUMNS]) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(TRACE_HEADER + "\n")

@@ -97,6 +97,7 @@ def test_missing_equals_rejected():
     ("fuzzy.hi = 1e308, 1\nfuzzy.lo = -1e308, -1", r"'fuzzy\.lo' \(config line 2\)"),
     ("duration = 5\nfuzzy.lo = -inf, -1", r"'fuzzy\.lo' \(config line 2\)"),
     ("duration = 5\nfuzzy.hi = inf, 1", r"'fuzzy\.hi' \(config line 2\)"),
+    ("fuzzy.lo = -1, -1\nfuzzy.hi = inf, 1", r"'fuzzy\.hi' \(config line 2\)"),
     ("duration = 5\nfuzzy.counts = 0, 100000000000000000000",
      r"'fuzzy\.counts' \(config line 2\)"),
     ("duration = 5\nfuzzy.width_scale = 0", r"'fuzzy\.width_scale' \(config line 2\)"),

@@ -214,7 +214,7 @@ def test_theta_round_trip(tmp_path):
     g = benchmark_grid()
     theta = np.random.default_rng(8).normal(size=g.rule_count)
     path = tmp_path / "theta.txt"
-    fuzzy.write_theta(path, fuzzy.FuzzyApproximator(g, theta))
+    fuzzy.write_theta(path, g, theta)
     text = path.read_text()
     assert "rule theta" in text
     assert text.startswith("#")

@@ -122,7 +122,7 @@ def test_ideal_model_decrement_matches_quadratic_rate():
     cfg, trace, _ = run_text(
         f"ideal_model = true\ndisturbance.d0 = 0\nplant.x0 = -0.1, {amp}\n"
         "controller.r = 1e9\nduration = 6")
-    p = afhc.solve_lyapunov(afhc.companion(cfg.controller.k), cfg.controller.q).P
+    p = afhc.solve_lyapunov(afhc.companion(cfg.controller.k), cfg.controller.q)
     xd_dot = cfg.reference.amplitude * np.cos(trace.t)
     e_vecs = np.stack([trace.e_filt, xd_dot - trace.x2], axis=1)
     v = np.einsum("ij,jk,ik->i", e_vecs, p, e_vecs)
