@@ -27,6 +27,7 @@ so their rounding does not depend on the BLAS kernel numpy was built with.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,9 +122,9 @@ class ControllerConfig:
     """Tuning for the adaptive loop and the Lyapunov matrix p it implies.
 
     Validated at construction: solve_lyapunov(companion(k), q) owns the
-    Hurwitz rule on k and every rule on Q. The control step is written out
-    for an order-2 error vector, so k holds exactly two gains; k and p, the
-    rows of P, are kept as Python floats, which the step reads.
+    finite and Hurwitz rules on k and every rule on Q. The control step is
+    written out for an order-2 error vector, so k holds exactly two gains;
+    k and p, the rows of P, are kept as Python floats, which the step reads.
     """
 
     k: tuple = (1.0, 2.0)
@@ -140,13 +141,15 @@ class ControllerConfig:
         k = np.asarray(self.k, dtype=float).reshape(-1)
         if k.size != 2:
             raise ValueError("k must have exactly 2 gains for the order-2 benchmark")
-        if not np.all(np.isfinite(k)):
-            raise ValueError("k must be a finite gain vector")
         q = np.eye(k.size) if self.q is None else np.atleast_2d(np.asarray(self.q, float))
         p = solve_lyapunov(companion(k), q)
-        for name in ("r", "gamma_f", "gamma_g", "g_min", "u_max"):
+        # r = inf drops the auxiliary term and u_max = inf the saturation
+        for name in ("r", "u_max"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
+        for name in ("gamma_f", "gamma_g", "g_min"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not 0.0 < self.filter_alpha <= 1.0:
             raise ValueError("filter_alpha must lie in (0, 1]")
         q = q.copy()

@@ -40,16 +40,17 @@ Schema (defaults in parentheses):
     fuzzy.counts (5, 5)             memberships per dimension; at most
                                     MAX_RULES rules in all
     fuzzy.width_scale (1.0)         width = scale * center spacing
-    fuzzy.theta_g_init (1.0)        initial theta_g entries (>= g_min)
+    fuzzy.theta_g_init (1.0)        initial theta_g entries (finite, >= g_min)
 
 build_config also builds what the run derives from these keys: the fuzzy
 MembershipGrid (cfg.fuzzy) and the controller's Lyapunov matrix P
 (cfg.controller.p). The fuzzy.lo/hi/counts/width_scale keys are validated
 by the grid's constructors, the controller keys by ControllerConfig and
-afhc.solve_lyapunov; a ValueError from any of them becomes a ConfigError
-naming the key and its line. config itself checks only what no constructor
-owns: list lengths, the step and rule budgets, the reference bounds, the
-channel delays as whole steps of dt and theta_g_init >= g_min.
+afhc.solve_lyapunov, the plant parameters by PendulumParams; a ValueError
+from any of them becomes a ConfigError naming the key and its line. config
+itself checks only what no constructor owns: list lengths, the step and
+rule budgets, the reference and disturbance bounds, the channel delays as
+whole steps of dt and g_min <= theta_g_init < inf.
 """
 from __future__ import annotations
 
@@ -96,14 +97,14 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ReferenceConfig:
-    amplitude: float = math.pi / 30.0
-    frequency: float = 1.0
+    amplitude: float
+    frequency: float
 
 
 @dataclass(frozen=True)
 class DisturbanceConfig:
-    d0: float = 0.1
-    omega: float = 2.0
+    d0: float
+    omega: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,7 +240,8 @@ def _channel_config(values, where, prefix: str, dt: float, master_seed: int,
     seed = values[f"{prefix}.seed"]
     if seed is None:
         seed = master_seed + default_seed_offset
-    with _reported(prefix, where):
+    # a derived seed is reported under the master seed that a source set
+    with _reported(prefix, where, {"seed": (f"{prefix}.seed", "seed")}):
         delay_steps = check_step_multiple(values[f"{prefix}.delay"], dt)
         return ChannelConfig(delay_steps=delay_steps, drop_prob=values[f"{prefix}.drop_prob"],
                              seed=seed, initial_value=initial_value)
@@ -285,6 +287,12 @@ def build_config(sources: list) -> ExperimentConfig:
                                 half_length=values["plant.half_length"],
                                 gravity=values["plant.gravity"])
 
+    _require(math.isfinite(values["disturbance.d0"]), "disturbance.d0",
+             where["disturbance.d0"], "must be finite")
+    # the plant evaluates sin(omega * t) for t up to duration
+    _require(abs(values["disturbance.omega"]) * duration < math.inf, "disturbance.omega",
+             where["disturbance.omega"], "omega * duration must be finite")
+
     x0 = np.asarray(values["plant.x0"], dtype=float)
     _require(x0.size == 2, "plant.x0", where["plant.x0"], "must have exactly 2 entries")
     _require(bool(np.all(np.isfinite(x0))), "plant.x0", where["plant.x0"],
@@ -319,9 +327,9 @@ def build_config(sources: list) -> ExperimentConfig:
             "widths": ("fuzzy.width_scale", "fuzzy.lo", "fuzzy.hi")}):
         grid = grid_over_box(values["fuzzy.lo"], values["fuzzy.hi"], counts,
                              values["fuzzy.width_scale"])
-    _require(values["fuzzy.theta_g_init"] >= controller.g_min, "fuzzy.theta_g_init",
+    _require(controller.g_min <= values["fuzzy.theta_g_init"] < math.inf, "fuzzy.theta_g_init",
              where["fuzzy.theta_g_init"],
-             "must be at least controller.g_min (the control law divides by g_hat)")
+             "must be finite and at least controller.g_min (the control law divides by g_hat)")
 
     sensor = _channel_config(values, where, "sensor_channel", dt, seed, 1,
                              initial_value=tuple(x0.tolist()))

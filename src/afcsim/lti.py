@@ -276,29 +276,17 @@ def closed_loop_tzw(ps: StateSpaceModel, k: StateSpaceModel) -> StateSpaceModel:
         raise ValueError(
             f"closed loop needs plant {ps.n_outputs}x{ps.n_inputs} against "
             f"controller {k.n_outputs}x{k.n_inputs}")
-    p = ps.n_outputs
-    m = ps.n_inputs
-    loop = np.eye(p) + ps.D @ k.D
-    sv = np.linalg.svd(loop, compute_uv=False)
+    loop = _cascade(ps, k)
+    static = np.eye(ps.n_outputs) + loop.D
+    sv = np.linalg.svd(static, compute_uv=False)
     if sv[-1] <= 1e-12 * max(sv[0], 1.0):
         raise IllPosedLoopError("ill-posed loop: I + D_ps D_k is singular")
-    delta = np.linalg.inv(loop)
-
-    np_, nk = ps.n_states, k.n_states
-    n = np_ + nk
-    a = np.zeros((n, n))
-    a[:np_, :np_] = ps.A - ps.B @ k.D @ delta @ ps.C
-    a[:np_, np_:] = ps.B @ k.C - ps.B @ k.D @ delta @ ps.D @ k.C
-    a[np_:, :np_] = -k.B @ delta @ ps.C
-    a[np_:, np_:] = k.A - k.B @ delta @ ps.D @ k.C
-    b = np.vstack([ps.B @ k.D @ delta, k.B @ delta])
-    c = np.zeros((p + m, n))
-    c[:p, :np_] = -delta @ ps.C
-    c[:p, np_:] = -delta @ ps.D @ k.C
-    c[p:, :np_] = -k.D @ delta @ ps.C
-    c[p:, np_:] = k.C - k.D @ delta @ ps.D @ k.C
-    d = np.vstack([delta, k.D @ delta])
-    return StateSpaceModel(a, b, c, d)
+    # L = Ps K has the states (x_k, x_ps); v = w - L(v) gives v = delta (w - C_L x)
+    delta = np.linalg.inv(static)
+    dc = delta @ loop.C
+    c_k = np.hstack([k.C, np.zeros((k.n_outputs, ps.n_states))])
+    return StateSpaceModel(loop.A - loop.B @ dc, loop.B @ delta,
+                           np.vstack([-dc, c_k - k.D @ dc]), np.vstack([delta, k.D @ delta]))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ class DynamicsOverflowError(RuntimeError):
 
 @dataclass(frozen=True)
 class PendulumParams:
-    """Cart-pole benchmark parameters, all strictly positive."""
+    """Cart-pole benchmark parameters, all positive and finite."""
 
     cart_mass: float = 1.0
     pole_mass: float = 0.1
@@ -38,8 +38,8 @@ class PendulumParams:
 
     def __post_init__(self):
         for name in ("cart_mass", "pole_mass", "half_length", "gravity"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)

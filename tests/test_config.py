@@ -117,11 +117,29 @@ def test_missing_equals_rejected():
     ("duration = 5\nfuzzy.width_scale = 1e-160", r"'fuzzy\.width_scale' \(config line 2\): widths"),
     ("fuzzy.counts = 1, 1\nfuzzy.width_scale = 1e-160",
      r"'fuzzy\.width_scale' \(config line 2\): widths"),
+    # a channel seed derived from the master seed is reported under 'seed'
+    ("duration = 5\nseed = 18446744073709551615", r"'seed' \(config line 2\)"),
+    ("duration = 5\nseed = 18446744073709551614", r"'seed' \(config line 2\)"),
+    ("duration = 5\ndisturbance.d0 = inf", r"'disturbance\.d0' \(config line 2\)"),
+    ("duration = 5\ndisturbance.d0 = nan", r"'disturbance\.d0' \(config line 2\)"),
+    ("duration = 5\ndisturbance.omega = nan", r"'disturbance\.omega' \(config line 2\)"),
+    ("duration = 20\ndisturbance.omega = 1e307", r"'disturbance\.omega' \(config line 2\)"),
+    ("duration = 5\nplant.gravity = inf", r"'plant\.gravity' \(config line 2\)"),
+    ("duration = 5\ncontroller.gamma_f = inf", r"'controller\.gamma_f' \(config line 2\)"),
+    ("duration = 5\ncontroller.gamma_g = inf", r"'controller\.gamma_g' \(config line 2\)"),
+    ("duration = 5\ncontroller.g_min = inf", r"'controller\.g_min' \(config line 2\)"),
+    ("duration = 5\nfuzzy.theta_g_init = inf", r"'fuzzy\.theta_g_init' \(config line 2\)"),
 ])
 def test_invariant_violations_rejected(text, match):
     with pytest.raises(config.ConfigError, match=match) as excinfo:
         config.parse_config(text)
     assert re.search(r"'[\w.]+' \(config line \d+\)", str(excinfo.value))
+
+
+def test_infinite_r_and_u_max_accepted():
+    # r = inf drops the auxiliary term, u_max = inf the saturation
+    cfg = config.parse_config("controller.r = inf\ncontroller.u_max = inf")
+    assert cfg.controller.r == cfg.controller.u_max == math.inf
 
 
 def test_filter_alpha_auto_resolution():
@@ -138,6 +156,10 @@ def test_channel_seeds_derived_from_master_seed():
     assert cfg.actuator_channel.seed == 1002
     cfg = config.parse_config("seed = 1000\nsensor_channel.seed = 7")
     assert cfg.sensor_channel.seed == 7
+    # the largest master seed builds once neither channel derives its seed from it
+    cfg = config.parse_config("seed = 18446744073709551615\n"
+                              "sensor_channel.seed = 1\nactuator_channel.seed = 2")
+    assert (cfg.seed, cfg.sensor_channel.seed, cfg.actuator_channel.seed) == (2 ** 64 - 1, 1, 2)
 
 
 def test_sample_period_key_rejected():

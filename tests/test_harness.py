@@ -333,6 +333,13 @@ def test_cli_lossy_sensor_golden_trace(tmp_path):
     assert hashlib.sha256(payload).hexdigest() == LOSSY_SHA256
 
 
+def child_env(**env):
+    """The environment of a child interpreter that imports this checkout's afcsim."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), **env)
+
+
 @pytest.mark.parametrize("env", [
     {"OPENBLAS_CORETYPE": "Haswell"},
     {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"},
@@ -342,14 +349,29 @@ def test_lossy_sensor_golden_trace_under_other_kernels(tmp_path, env):
     cfg_file = tmp_path / "lossy.cfg"
     cfg_file.write_text(LOSSY_CONFIG)
     out = tmp_path / "run"
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.environ.get("PYTHONPATH")
-    child_env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), **env)
     proc = subprocess.run(
         [sys.executable, "-m", "afcsim", *LOSSY_ARGV, "--config", str(cfg_file),
-         "--out", str(out)], env=child_env, capture_output=True, text=True, timeout=120)
+         "--out", str(out)], env=child_env(**env), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest() == LOSSY_SHA256
+
+
+def test_import_loads_the_submodules_and_numpy_only():
+    # import afcsim binds seven submodules (not cli) and needs no package but numpy
+    probe = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "import afcsim\n"
+             "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    submodules = {f"afcsim.{name}" for name in
+                  ("afhc", "config", "fuzzy", "harness", "lti", "netchan", "plant")}
+    assert submodules <= loaded
+    assert "afcsim.cli" not in loaded
+    top_level = {name.partition(".")[0] for name in loaded}
+    assert top_level - set(sys.stdlib_module_names) == {"afcsim", "numpy"}
 
 
 def test_cli_preset_networked(tmp_path):

@@ -296,16 +296,20 @@ def test_closed_loop_unit_static_pair():
 
 
 def test_closed_loop_response_matches_defining_formula():
+    # (m, p) = (1, 2): a plant with 2 outputs and 1 input against a 1 x 2
+    # controller, both with nonzero D, exercises the shapes of [C_k 0] and D_k delta
     rng = np.random.default_rng(43)
-    for _ in range(4):
-        ps = make_stable_system(rng, n=3, m=2, p=2)
-        k = make_stable_system(rng, n=2, m=2, p=2)
+    for m, p in [(2, 2)] * 4 + [(1, 2)] * 4:
+        ps = make_stable_system(rng, n=3, m=m, p=p)
+        k = make_stable_system(rng, n=2, m=p, p=m)
+        assert np.all(ps.D != 0) and np.all(k.D != 0)
         tzw = lti.closed_loop_tzw(ps, k)
         assert tzw.n_states == 5
+        assert (tzw.n_outputs, tzw.n_inputs) == (p + m, p)
         for w in 10.0 ** rng.uniform(-2.0, 2.0, size=25):
             gp = lti.freq_response(ps, w)
             gk = lti.freq_response(k, w)
-            inv = np.linalg.inv(np.eye(2) + gp @ gk)
+            inv = np.linalg.inv(np.eye(p) + gp @ gk)
             want = np.vstack([inv, gk @ inv])
             got = lti.freq_response(tzw, w)
             assert np.max(np.abs(got - want)) < 1e-9 * (1.0 + np.max(np.abs(want)))
