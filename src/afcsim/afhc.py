@@ -214,12 +214,10 @@ def adapt_step(approx_f: FuzzyApproximator, approx_g: FuzzyApproximator,
 
     Updates theta_f and theta_g from the adaptation signal s = E^T P B and
     the applied control u, then projects theta_g onto [g_min, inf). The two
-    approximators must come from fuzzy.paired, so that one update writes
-    both rows of their shared theta. Returns the (theta_f, theta_g) arrays.
+    approximators must come from fuzzy.paired (unchecked), so one update
+    writes both rows of their shared theta. Returns (theta_f, theta_g).
     """
     theta = approx_f.theta.base
-    if theta is None or approx_g.theta.base is not theta:
-        raise ValueError("approx_f and approx_g must share one theta array (fuzzy.paired)")
     e0, e1 = e_vec
     p10, p11 = cfg.p[1]
     s = p10 * e0 + p11 * e1

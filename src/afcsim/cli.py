@@ -46,24 +46,14 @@ def main(argv=None) -> int:
         if overrides:
             sources.append(("command line", "\n".join(overrides)))
         cfg = build_config(sources)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
         trace, metrics = harness.run_experiment(cfg)
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         harness.write_trace(trace, out / "trace.csv")
         harness.write_metrics(metrics, out / "metrics.txt")
         fuzzy.write_theta(out / "theta_f.txt", trace.grid, trace.theta_f)
         fuzzy.write_theta(out / "theta_g.txt", trace.grid, trace.theta_g)
-    except OSError as exc:
+    except (ConfigError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

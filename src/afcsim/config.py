@@ -207,20 +207,22 @@ def _require(condition: bool, key: str, where: str, message: str) -> None:
 
 @contextmanager
 def _reported(prefix: str, where: dict, keys: dict | None = None):
-    """Re-raise a ValueError from the block as a ConfigError for one key.
+    """Re-raise a ValueError from the block as a ConfigError naming its keys.
 
     The validators start their messages with the field they reject; the
-    key is prefix.field unless keys maps the field to candidate keys, of
-    which the first one a source set is named (a derived value such as the
-    grid's centers comes from several keys).
+    key is prefix.field unless keys maps the field to candidate keys (a
+    derived value such as the grid's centers comes from several keys). Every
+    candidate a source set is named with its line, or the first candidate
+    when none was set.
     """
     try:
         yield
     except ValueError as exc:
         field = str(exc).split()[0].lower()
         candidates = (keys or {}).get(field, (f"{prefix}.{field}",))
-        key = next((k for k in candidates if where[k] != "default"), candidates[0])
-        raise ConfigError(f"invalid '{key}' ({where[key]}): {exc}") from None
+        named = [k for k in candidates if where[k] != "default"] or candidates[:1]
+        blamed = ", ".join(f"'{k}' ({where[k]})" for k in named)
+        raise ConfigError(f"invalid {blamed}: {exc}") from None
 
 
 def check_step_multiple(delay: float, dt: float) -> int:
@@ -238,10 +240,12 @@ def check_step_multiple(delay: float, dt: float) -> int:
 def _channel_config(values, where, prefix: str, dt: float, master_seed: int,
                     default_seed_offset: int, initial_value) -> ChannelConfig:
     seed = values[f"{prefix}.seed"]
+    keys = None
     if seed is None:
+        # a derived seed is reported under the master seed
         seed = master_seed + default_seed_offset
-    # a derived seed is reported under the master seed that a source set
-    with _reported(prefix, where, {"seed": (f"{prefix}.seed", "seed")}):
+        keys = {"seed": ("seed",)}
+    with _reported(prefix, where, keys):
         delay_steps = check_step_multiple(values[f"{prefix}.delay"], dt)
         return ChannelConfig(delay_steps=delay_steps, drop_prob=values[f"{prefix}.drop_prob"],
                              seed=seed, initial_value=initial_value)

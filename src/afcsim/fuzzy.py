@@ -21,7 +21,6 @@ __all__ = [
     "paired",
     "grid_over_box",
     "write_theta",
-    "read_theta",
 ]
 
 
@@ -60,10 +59,6 @@ class MembershipGrid:
                                                 for c, w in zip(centers, widths)))
 
     @property
-    def dim(self) -> int:
-        return len(self.centers)
-
-    @property
     def counts(self) -> tuple:
         return tuple(c.size for c in self.centers)
 
@@ -80,9 +75,8 @@ class MembershipGrid:
         shifted by its smallest squared distance: its largest membership is 1
         and a far-from-grid input cannot underflow the normalizer. Python
         floats (math.exp, a left-to-right sum) keep numpy's SIMD dispatch out.
+        x holds one value per grid dimension; its length is not checked here.
         """
-        if len(x) != self.dim:
-            raise ValueError(f"input has dimension {len(x)}, grid expects {self.dim}")
         xi = None
         for v, axis in zip(x, self._axes):
             sq = [z * z for z in [(v - c) / w for c, w in axis]]
@@ -184,17 +178,3 @@ def write_theta(path, grid: MembershipGrid, theta) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def read_theta(path) -> np.ndarray:
-    """Parse a file written by write_theta back into a parameter vector."""
-    values = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("rule"):
-                continue
-            index, value = line.split()
-            values[int(index)] = float(value)
-    if sorted(values) != list(range(len(values))):
-        raise ValueError("theta file has missing or duplicate rule indices")
-    return np.array([values[j] for j in range(len(values))])

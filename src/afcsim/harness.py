@@ -189,7 +189,10 @@ def compute_metrics(trace: SimulationTrace, cfg: ExperimentConfig) -> Metrics:
     if len(trace) == 0:
         raise ValueError("cannot compute metrics for an empty trace")
     diverged = trace.abort_reason is not None
-    rmse = float(np.sqrt(np.mean(trace.e ** 2)))
+    # e / s for a power of two s <= max|e| is exact, and its square cannot
+    # overflow; 2 ** (exponent - 1) itself stays finite for every float
+    s = math.ldexp(1.0, math.frexp(float(np.max(np.abs(trace.e))))[1] - 1)
+    rmse = float(np.sqrt(np.mean((trace.e / s) ** 2))) * s
     max_abs_u = float(np.max(np.abs(trace.u)))
     if diverged:
         pct = math.inf
@@ -197,7 +200,7 @@ def compute_metrics(trace: SimulationTrace, cfg: ExperimentConfig) -> Metrics:
         n_tail = max(1, int(round(STEADY_STATE_FRACTION * len(trace))))
         tail_peak = float(np.max(np.abs(trace.e[-n_tail:])))
         if cfg.reference.amplitude > 0:
-            pct = 100.0 * tail_peak / cfg.reference.amplitude
+            pct = 100.0 * (tail_peak / cfg.reference.amplitude)
         else:
             pct = 0.0 if tail_peak == 0.0 else math.inf
     return Metrics(rmse=rmse, steady_state_error_pct=pct,

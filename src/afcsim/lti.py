@@ -21,7 +21,6 @@ __all__ = [
     "HinfConvergenceError",
     "static_gain",
     "identity",
-    "siso",
     "series",
     "freq_response",
     "is_stable",
@@ -129,11 +128,6 @@ def identity(m: int) -> StateSpaceModel:
     return static_gain(np.eye(m))
 
 
-def siso(a: float, b: float, c: float, d: float) -> StateSpaceModel:
-    """One-state single-input single-output model."""
-    return StateSpaceModel([[a]], [[b]], [[c]], [[d]])
-
-
 def _cascade(outer: StateSpaceModel, inner: StateSpaceModel) -> StateSpaceModel:
     """Realization of outer*inner (input feeds inner first)."""
     if inner.n_outputs != outer.n_inputs:
@@ -238,16 +232,18 @@ def hinf_norm(ss: StateSpaceModel, tol: float = 1e-8) -> float:
     no crossing, or when no midpoint gain exceeds gamma (the crossings are
     then rounding at the peak). The norm lies in [lower, gamma] and the
     midpoint of that bracket is returned, within tol / 2 of the norm
-    relative to lower.
+    relative to lower. A zero-state model is stable and its norm is
+    sigma_max(D); otherwise an A with an eigenvalue off the open left
+    half-plane raises UnstableSystemError.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if not is_stable(ss):
-        raise UnstableSystemError("norm undefined for unstable system")
     if ss.n_states == 0:
         return _sigma_max(ss.D)
     a, b, c, d = ss.A, ss.B, ss.C, ss.D
     lam = np.linalg.eigvals(a)
+    if not lam.real.max() < 0.0:
+        raise UnstableSystemError("norm undefined for unstable system")
     # 0..n rad/s are n + 1 distinct frequencies: a nonzero strictly proper
     # n-state response cannot vanish at all of them, so a zero bound is exact.
     omegas = np.unique(np.r_[np.arange(ss.n_states + 1.0), np.abs(lam), np.abs(lam.imag)])
@@ -304,11 +300,12 @@ def robustness_margin(ps: StateSpaceModel, k: StateSpaceModel,
     and the supremal margin epsilon = 1/norm.
 
     An unstable closed loop yields loop_stable=False with the norm reported
-    as unbounded (epsilon 0).
+    as unbounded (epsilon 0). tol is checked by hinf_norm, for either loop.
     """
     tzw = closed_loop_tzw(ps, k)
-    if not is_stable(tzw):
+    try:
+        norm = hinf_norm(tzw, tol)
+    except UnstableSystemError:
         return RobustnessCertificate(norm_tzw=math.inf, epsilon=0.0, loop_stable=False)
-    norm = hinf_norm(tzw, tol)
     epsilon = math.inf if norm == 0.0 else 1.0 / norm
     return RobustnessCertificate(norm_tzw=norm, epsilon=epsilon, loop_stable=True)

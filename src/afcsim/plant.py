@@ -109,14 +109,13 @@ def rk4_step(plant: PlantModel, x, u_applied: float, t: float,
     """Classical fourth-order Runge-Kutta advance by dt; returns the new state
     as a tuple of floats.
 
-    x is any sequence of finite floats; it is not re-validated here.
+    x is any sequence of finite floats and dt > 0 (build_config owns that
+    rule); neither is re-validated here.
     Both the applied input and the disturbance value d(t) are held constant
     over the step (zero-order hold), matching sampled actuation. The stages
     are evaluated componentwise in the order of the vector form
     x + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), so results are bit-identical to it.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     x = tuple(x)
     d_value = plant.d(t)
     half = 0.5 * dt

@@ -66,7 +66,7 @@ def test_criterion_4_hinf_norm_oracle_equivalence():
         oracle = grid_peak_gain(ss, n_points=100_000)
         worst = max(worst, abs(value - oracle) / oracle)
     assert worst < 1e-6
-    lag = lti.siso(-1.0, 1.0, 1.0, 0.0)
+    lag = lti.StateSpaceModel([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
     assert lti.hinf_norm(lag, tol=1e-10) == pytest.approx(1.0, abs=1e-9)
     assert lti.hinf_norm(lti.static_gain([[2.0]])) == 2.0
     print(f"\n[criterion 4] PASS worst relative gap over 50 systems={worst:.3e} < 1e-6; "
@@ -94,7 +94,8 @@ def test_criterion_5_series_and_certificate():
     assert cert.loop_stable
     assert cert.epsilon * cert.norm_tzw == pytest.approx(1.0, rel=1e-12)
     # instability flagged on a constructed unstable loop: 1/(s-1) with gain 0.5
-    bad = lti.robustness_margin(lti.siso(1.0, 1.0, 1.0, 0.0), lti.static_gain([[0.5]]))
+    unstable_plant = lti.StateSpaceModel([[1.0]], [[1.0]], [[1.0]], [[0.0]])
+    bad = lti.robustness_margin(unstable_plant, lti.static_gain([[0.5]]))
     assert not bad.loop_stable and bad.norm_tzw == math.inf and bad.epsilon == 0.0
     print(f"\n[criterion 5] PASS series product identity at 100 freqs <= 1e-9; "
           f"eps*norm=1 at 1e-12 (eps={cert.epsilon:.4f}); unstable loop flagged")

@@ -208,15 +208,6 @@ def test_step_functions_bit_identical_to_array_forms():
                                            for t, x in zip(before_g, xi.tolist())]
 
 
-def test_adapt_rejects_unpaired_approximators():
-    grid = fuzzy.MembershipGrid((np.array([-1.0, 1.0]),), (np.array([1.0, 1.0]),))
-    approx_f = fuzzy.FuzzyApproximator(grid)
-    approx_g = fuzzy.FuzzyApproximator(grid, [1.0, 1.0])
-    with pytest.raises(ValueError, match="share one theta"):
-        afhc.adapt_step(approx_f, approx_g, np.array([0.5, 0.5]), (0.1, 0.0),
-                        1.0, afhc.ControllerConfig(), 0.01)
-
-
 # ------------------------------------------------------------ adaptation laws
 
 def test_adapt_frozen_at_zero_error():

@@ -95,6 +95,9 @@ def test_missing_equals_rejected():
     ("reference.frequency = 1e5\nreference.amplitude = 1e300",
      r"'reference\.frequency' \(config line 1\): amplitude \* frequency \*\* 2"),
     ("fuzzy.hi = 1e308, 1\nfuzzy.lo = -1e308, -1", r"'fuzzy\.lo' \(config line 2\)"),
+    ("fuzzy.hi = 1e308, 1\nfuzzy.lo = -1e308, -1", r"'fuzzy\.hi' \(config line 1\)"),
+    ("controller.k = 1, 2\ncontroller.q_diag = 1e308, 1e308",
+     r"'controller\.q_diag' \(config line 2\)"),
     ("duration = 5\nfuzzy.lo = -inf, -1", r"'fuzzy\.lo' \(config line 2\)"),
     ("duration = 5\nfuzzy.hi = inf, 1", r"'fuzzy\.hi' \(config line 2\)"),
     ("fuzzy.lo = -1, -1\nfuzzy.hi = inf, 1", r"'fuzzy\.hi' \(config line 2\)"),

@@ -206,6 +206,14 @@ def test_metrics_zero_amplitude_nonzero_error_unbounded():
     assert m.steady_state_error_pct == math.inf
 
 
+def test_metrics_finite_for_finite_errors_near_overflow():
+    # every e is finite, but e ** 2 and 100 * e overflow
+    _, trace, m = run_text("duration = 0.05\nreference.amplitude = 1e308")
+    assert np.all(np.isfinite(trace.e))
+    assert math.isfinite(m.rmse) and m.rmse > 1e306
+    assert math.isfinite(m.steady_state_error_pct)
+
+
 # ---------------------------------------------------------------- write_trace
 
 def test_trace_header_is_exact(tmp_path):

@@ -7,7 +7,7 @@ from conftest import grid_peak_gain, make_stable_system, sigma_max
 
 def lag():
     # 1/(s+1)
-    return lti.siso(-1.0, 1.0, 1.0, 0.0)
+    return lti.StateSpaceModel([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
 
 
 # ---------------------------------------------------------------- construction
@@ -30,7 +30,7 @@ def test_static_gain_has_zero_states():
 
 def test_nonfinite_entries_rejected():
     with pytest.raises(ValueError):
-        lti.siso(np.nan, 1.0, 1.0, 0.0)
+        lti.StateSpaceModel([[np.nan]], [[1.0]], [[1.0]], [[0.0]])
 
 
 def test_matrices_are_immutable():
@@ -133,7 +133,7 @@ def test_responses_same_under_numpy1_solve_rule(monkeypatch, n, m, p):
 
 
 def test_freq_response_at_pole_rejected():
-    integrator = lti.siso(0.0, 1.0, 1.0, 0.0)
+    integrator = lti.StateSpaceModel([[0.0]], [[1.0]], [[1.0]], [[0.0]])
     with pytest.raises(lti.FrequencyAtPoleError):
         lti.freq_response(integrator, 0.0)
 
@@ -141,8 +141,8 @@ def test_freq_response_at_pole_rejected():
 # ------------------------------------------------------------------ is_stable
 
 def test_is_stable_scalar_cases():
-    assert lti.is_stable(lti.siso(-1.0, 1.0, 1.0, 0.0))
-    assert not lti.is_stable(lti.siso(0.1, 1.0, 1.0, 0.0))
+    assert lti.is_stable(lti.StateSpaceModel([[-1.0]], [[1.0]], [[1.0]], [[0.0]]))
+    assert not lti.is_stable(lti.StateSpaceModel([[0.1]], [[1.0]], [[1.0]], [[0.0]]))
     assert lti.is_stable(lti.static_gain([[4.0]]))
 
 
@@ -184,11 +184,11 @@ def test_hinf_norm_matches_grid_oracle_on_random_system():
 
 def test_hinf_norm_rejects_unstable_system():
     with pytest.raises(lti.UnstableSystemError, match="unstable"):
-        lti.hinf_norm(lti.siso(1.0, 1.0, 1.0, 0.0))
+        lti.hinf_norm(lti.StateSpaceModel([[1.0]], [[1.0]], [[1.0]], [[0.0]]))
 
 
 def test_hinf_norm_of_zero_system():
-    assert lti.hinf_norm(lti.siso(-1.0, 1.0, 0.0, 0.0)) == 0.0
+    assert lti.hinf_norm(lti.StateSpaceModel([[-1.0]], [[1.0]], [[0.0]], [[0.0]])) == 0.0
 
 
 def test_hinf_norm_scales_with_output_gain():
@@ -219,7 +219,7 @@ def test_hinf_norm_lightly_damped_resonance_closed_form():
 
 def test_hinf_norm_high_pass_reaches_feedthrough_only_at_infinity():
     # s/(s+1) = 1 - 1/(s+1): |G(jw)| < 1 at every finite w, sigma_max(D) = 1
-    high_pass = lti.siso(-1.0, 1.0, -1.0, 1.0)
+    high_pass = lti.StateSpaceModel([[-1.0]], [[1.0]], [[-1.0]], [[1.0]])
     assert lti.hinf_norm(high_pass, tol=1e-10) == pytest.approx(1.0, rel=1e-9)
 
 
@@ -350,8 +350,16 @@ def test_margin_reciprocal_identity():
 
 
 def test_margin_flags_unstable_loop():
-    unstable_plant = lti.siso(1.0, 1.0, 1.0, 0.0)   # 1/(s-1)
+    unstable_plant = lti.StateSpaceModel([[1.0]], [[1.0]], [[1.0]], [[0.0]])   # 1/(s-1)
     cert = lti.robustness_margin(unstable_plant, lti.static_gain([[0.5]]))
     assert not cert.loop_stable
     assert cert.norm_tzw == np.inf
     assert cert.epsilon == 0.0
+
+
+def test_margin_rejects_invalid_tol_for_either_loop():
+    # hinf_norm owns the tol rule, so an unstable loop does not skip it
+    unstable_plant = lti.StateSpaceModel([[1.0]], [[1.0]], [[1.0]], [[0.0]])   # 1/(s-1)
+    for ps in (lag(), unstable_plant):
+        with pytest.raises(ValueError, match="tol"):
+            lti.robustness_margin(ps, lti.static_gain([[0.5]]), tol=-1.0)

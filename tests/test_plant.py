@@ -108,11 +108,6 @@ def test_rk4_zero_field_keeps_state():
     assert np.array_equal(out, [0.7, 0.0])
 
 
-def test_rk4_requires_positive_dt():
-    with pytest.raises(ValueError):
-        plant.rk4_step(decay_plant(), [1.0], 0.0, 0.0, 0.0)
-
-
 def _decay_error(dt):
     x = np.array([1.0])
     t = 0.0
