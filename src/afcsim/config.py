@@ -280,8 +280,8 @@ def build_config(sources: list) -> ExperimentConfig:
     amplitude, frequency = values["reference.amplitude"], values["reference.frequency"]
     for key, value in (("reference.amplitude", amplitude), ("reference.frequency", frequency)):
         _require(0 <= value < math.inf, key, where[key], "must be finite and nonnegative")
-    # harness.reference_derivatives computes amplitude * frequency ** k for k <= 2; the
-    # product is inf, or NaN for amplitude 0, once frequency ** 2 alone overflows
+    # harness.reference_derivatives computes amplitude * frequency ** 2; the product
+    # is inf, or NaN for amplitude 0, once frequency ** 2 alone overflows
     _require(amplitude * (frequency * frequency) < math.inf, "reference.frequency",
              where["reference.frequency"], "amplitude * frequency ** 2 overflows")
 

@@ -79,11 +79,14 @@ class Metrics:
     diverged: bool
 
 
-def reference_derivatives(amplitude: float, frequency: float, t: float,
-                          n: int) -> tuple:
-    """Reference A sin(w t) and its first n derivatives, a tuple of n + 1."""
-    return tuple([amplitude * (frequency ** k) * math.sin(frequency * t + k * (math.pi / 2.0))
-                  for k in range(n + 1)])
+def reference_derivatives(amplitude: float, frequency: float, t: float) -> tuple:
+    """Reference A sin(w t) and its first two derivatives, each written as
+    A w^k sin(w t + k pi / 2)."""
+    wt = frequency * t
+    # + 0.0 keeps the phase of k = 0 a +0.0 where w t is -0.0
+    return (amplitude * math.sin(wt + 0.0),
+            amplitude * frequency * math.sin(wt + math.pi / 2.0),
+            amplitude * frequency ** 2 * math.sin(wt + math.pi))
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple:
@@ -119,7 +122,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
         drop_sense = sensor.push(x)
         x_meas = sensor.output()
 
-        ref = reference_derivatives(cfg.reference.amplitude, cfg.reference.frequency, t, 2)
+        ref = reference_derivatives(cfg.reference.amplitude, cfg.reference.frequency, t)
         e_raw = tuple([r - m for r, m in zip(ref, x_meas)])
         e_filtered = e_raw if e_filtered is None else afhc.filter_error(
             e_filtered, e_raw, alpha)

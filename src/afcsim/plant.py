@@ -4,7 +4,8 @@ dynamics.
 The state is x = (x1, ..., xn) where x1 is the output and each x_{i+1} is
 the derivative of x_i; only the top derivative carries the nonlinear terms:
 dx_n/dt = f(x) + g(x) u + d(t). The simulated plant is the order-2
-pendulum.
+pendulum, whose written-out RK4 step matches rk4_step's generic chain form
+bit for bit; rk4_step uses it, and the chain form for any other plant.
 """
 from __future__ import annotations
 
@@ -47,35 +48,23 @@ class PlantModel:
     """Chain-of-integrators plant: fg(x) returns the drift and input gain
     (f(x), g(x)) in one call, and d(t) is the disturbance.
 
-    fg receives the state as a tuple of floats.
+    fg receives the state as a tuple of floats. step, if set, is rk4_step
+    written out for this plant: the same bits and the same errors.
     """
 
     fg: Callable[[tuple], tuple]
     d: Callable[[float], float]
-
-
-def _pendulum_fg(params: PendulumParams, x1: float, x2: float) -> tuple:
-    """(f, g) of the cart-pole at (x1, x2), sharing sin, cos and the
-    denominator between the two."""
-    total = params.cart_mass + params.pole_mass
-    sin1 = math.sin(x1)
-    cos1 = math.cos(x1)
-    den = params.half_length * (4.0 / 3.0 - params.pole_mass * cos1 * cos1 / total)
-    num = (params.gravity * sin1
-           - params.pole_mass * params.half_length * x2 * x2 * cos1 * sin1 / total)
-    return num / den, (cos1 / total) / den
+    step: Callable[[tuple, float, float, float], tuple] | None = None
 
 
 def pendulum_f(params: PendulumParams, x) -> float:
     """Drift acceleration of the pole angle for the cart-pole benchmark."""
-    x1, x2 = x
-    return _pendulum_fg(params, x1, x2)[0]
+    return pendulum(params).fg(x)[0]
 
 
 def pendulum_g(params: PendulumParams, x) -> float:
     """Input gain from applied force to pole-angle acceleration."""
-    x1, x2 = x
-    return _pendulum_fg(params, x1, x2)[1]
+    return pendulum(params).fg(x)[1]
 
 
 def pendulum(params: PendulumParams = PendulumParams(),
@@ -83,16 +72,50 @@ def pendulum(params: PendulumParams = PendulumParams(),
     """Two-state pole-balancing plant with sinusoidal disturbance d0 sin(w t).
 
     fg takes any indexable state and checks nothing: the integrator checks
-    each stage instead.
+    each stage instead. step is rk4_step's chain form with fg and d inlined.
     """
+    total = params.cart_mass + params.pole_mass
+    m, l, gravity = params.pole_mass, params.half_length, params.gravity
+    ml = m * l          # m * l * x2 is (m * l) * x2, so hoisting keeps every bit
+    sin, cos, isfinite = math.sin, math.cos, math.isfinite
 
     def fg(x) -> tuple:
-        return _pendulum_fg(params, x[0], x[1])
+        sn, cs = sin(x[0]), cos(x[0])
+        den = l * (4.0 / 3.0 - m * cs * cs / total)
+        return (gravity * sn - ml * x[1] * x[1] * cs * sn / total) / den, cs / total / den
 
     def d(t: float) -> float:
         return d0 * math.sin(omega_d * t)
 
-    return PlantModel(fg=fg, d=d)
+    def top(p1, p2, u, dv):
+        # f + g u + d at (p1, p2), which _stage checks the same way
+        sn, cs = sin(p1), cos(p1)
+        den = l * (4.0 / 3.0 - m * cs * cs / total)
+        k = (gravity * sn - ml * p2 * p2 * cs * sn / total) / den + cs / total / den * u + dv
+        if not isfinite(k):
+            raise DynamicsOverflowError("dynamics overflow: non-finite derivative")
+        return k
+
+    def step(x, u: float, t: float, dt: float) -> tuple:
+        # the stage at (p1, p2) has the derivative (p2, top(p1, p2))
+        x1, x2 = x
+        dv = d0 * sin(omega_d * t)
+        half = 0.5 * dt
+        k1 = top(x1, x2, u, dv)
+        a2 = x2 + half * k1
+        k2 = top(x1 + half * x2, a2, u, dv)
+        b2 = x2 + half * k2
+        k3 = top(x1 + half * a2, b2, u, dv)
+        c2 = x2 + dt * k3
+        k4 = top(x1 + dt * b2, c2, u, dv)
+        sixth = dt / 6.0
+        y1 = x1 + sixth * (x2 + 2.0 * a2 + 2.0 * b2 + c2)
+        y2 = x2 + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not (isfinite(y1) and isfinite(y2)):
+            raise DynamicsOverflowError("dynamics overflow: non-finite state")
+        return y1, y2
+
+    return PlantModel(fg=fg, d=d, step=step)
 
 
 def _stage(plant: PlantModel, x: tuple, u_applied: float, d_value: float) -> tuple:
@@ -115,7 +138,10 @@ def rk4_step(plant: PlantModel, x, u_applied: float, t: float,
     over the step (zero-order hold), matching sampled actuation. The stages
     are evaluated componentwise in the order of the vector form
     x + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), so results are bit-identical to it.
+    A plant's own step (pendulum() has one) runs instead, in this same order.
     """
+    if plant.step is not None:
+        return plant.step(x, u_applied, t, dt)
     x = tuple(x)
     d_value = plant.d(t)
     half = 0.5 * dt

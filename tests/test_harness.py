@@ -387,3 +387,24 @@ def test_cli_preset_networked(tmp_path):
     code = cli.main(["--preset", "networked", "--out", str(out),
                      "--duration", "0.5", "--quiet"])
     assert code == 0
+
+
+def test_run_presets_failed_run_shows_no_stale_metrics(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_presets.py"
+
+    def run_presets(duration):
+        return subprocess.run(
+            [sys.executable, str(script), "--out", str(tmp_path), "--duration", duration],
+            env=child_env(), capture_output=True, text=True, timeout=120)
+
+    valid = run_presets("0.05")
+    assert valid.returncode == 0, valid.stderr
+    assert valid.stdout.count("rmse = ") == len(config.PRESETS)
+    # a horizon under half a step is a ConfigError for every preset, while the
+    # valid run's metrics.txt files are still in place
+    invalid = run_presets("0.0001")
+    assert invalid.returncode == 1
+    assert "Traceback" not in invalid.stderr
+    assert invalid.stderr.count("error: ") == len(config.PRESETS)
+    assert "rmse" not in invalid.stdout
+    assert all((tmp_path / preset / "metrics.txt").exists() for preset in config.PRESETS)

@@ -209,3 +209,69 @@ def test_rk4_overflowing_state_aborts():
     steep = plant.PlantModel(fg=lambda x: (1e308, 0.0), d=lambda t: 0.0)
     with pytest.raises(plant.DynamicsOverflowError, match="non-finite state"):
         plant.rk4_step(steep, (1.7e308,), 0.0, 0.0, 1.0)
+
+
+# ------------------------------------ the pendulum's written-out step vs the chain
+
+def _step_outcome(pl, x, u, t, dt):
+    """rk4_step's result as bytes, or the message of its overflow error."""
+    try:
+        return np.array(plant.rk4_step(pl, x, u, t, dt)).tobytes()
+    except plant.DynamicsOverflowError as exc:
+        return str(exc)
+
+
+def test_pendulum_step_bit_identical_to_generic_chain():
+    # pendulum() carries its own step; the same fg and d without it take the
+    # generic chain form, so the two must agree bit for bit, errors included
+    rng = np.random.default_rng(11)
+    for _ in range(6000):
+        params = plant.PendulumParams(*rng.uniform(0.05, 2.0, size=3).tolist(),
+                                      gravity=float(rng.uniform(1.0, 20.0)))
+        d0, omega = float(rng.uniform(-2.0, 2.0)), float(rng.uniform(-10.0, 10.0))
+        fast = plant.pendulum(params, d0=d0, omega_d=omega)
+        assert fast.step is not None
+        chain = plant.PlantModel(fg=fast.fg, d=fast.d)
+        x = (float(rng.uniform(-400.0, 400.0)), float(rng.uniform(-1e3, 1e3)))
+        u, t = float(rng.uniform(-180.0, 180.0)), float(rng.uniform(0.0, 30.0))
+        dt = float(10.0 ** rng.uniform(-4.0, -1.0))
+        out = plant.rk4_step(fast, x, u, t, dt)
+        assert type(out) is tuple and all(type(v) is float for v in out)
+        assert np.array(out).tobytes() == np.array(plant.rk4_step(chain, x, u, t, dt)).tobytes()
+
+
+@pytest.mark.parametrize("pole, x, message", [
+    ((0.1, 0.5), (0.5, 1e154), "non-finite derivative"),
+    ((0.1, 0.5), (1e300, 1e160), "non-finite derivative"),
+    ((0.1, 1e-306), (0.5, 0.0), "non-finite derivative"),
+    ((1e-200, 1e-200), (0.5, 5e307), "non-finite state"),
+])
+def test_pendulum_step_overflow_matches_generic_chain(pole, x, message):
+    pole_mass, half_length = pole
+    params = plant.PendulumParams(pole_mass=pole_mass, half_length=half_length)
+    fast = plant.pendulum(params, d0=0.3, omega_d=2.0)
+    chain = plant.PlantModel(fg=fast.fg, d=fast.d)
+    with pytest.raises(plant.DynamicsOverflowError, match=message):
+        plant.rk4_step(fast, x, 100.0, 1.0, 1e-3)
+    assert _step_outcome(fast, x, 100.0, 1.0, 1e-3) == _step_outcome(chain, x, 100.0, 1.0, 1e-3)
+
+
+def test_pendulum_step_matches_generic_chain_near_overflow():
+    # parameters and states over hundreds of decades: each case either steps
+    # to the same bits on both paths or fails with the same message
+    rng = np.random.default_rng(12)
+    seen = set()
+    for _ in range(2000):
+        params = plant.PendulumParams(*(10.0 ** rng.uniform(-250.0, 250.0, size=3)).tolist(),
+                                      gravity=float(10.0 ** rng.uniform(-3.0, 3.0)))
+        fast = plant.pendulum(params, d0=float(rng.uniform(-1.0, 1.0)),
+                              omega_d=float(rng.uniform(0.0, 5.0)))
+        chain = plant.PlantModel(fg=fast.fg, d=fast.d)
+        signs = rng.choice([-1.0, 1.0], size=2)
+        x = (float(signs[0] * 10.0 ** rng.uniform(0.0, 300.0)),
+             float(signs[1] * 10.0 ** rng.uniform(0.0, 307.0)))
+        u, dt = float(rng.uniform(-180.0, 180.0)), float(10.0 ** rng.uniform(-4.0, 0.0))
+        outcome = _step_outcome(fast, x, u, 0.0, dt)
+        assert outcome == _step_outcome(chain, x, u, 0.0, dt)
+        seen.add(type(outcome))
+    assert seen == {bytes, str}
