@@ -48,7 +48,8 @@ __all__ = [
 
 
 class SingularControlError(RuntimeError):
-    """The g estimate fell below its floor; the control law would divide by ~0."""
+    """The control law has no usable command: the g estimate fell below its
+    floor (a division by ~0), or the command came out non-finite."""
 
 
 def companion(k) -> np.ndarray:
@@ -183,7 +184,8 @@ def control_law(cfg: ControllerConfig, f_hat: float, g_hat: float, e_vec,
 
     ydn is the second derivative of the reference and e_vec the error
     vector (e, e'). Raises SingularControlError if |g_hat| sits below g_min
-    despite projection.
+    despite projection, or if the saturated command is NaN or, with
+    u_max = inf, infinite; such a command is never returned.
     """
     # Slack of a few ulps: theta_g at the floor gives g_hat = g_min only up to
     # rounding in the convex combination, which must not count as singular.
@@ -193,7 +195,11 @@ def control_law(cfg: ControllerConfig, f_hat: float, g_hat: float, e_vec,
     e0, e1 = e_vec
     k0, k1 = cfg.k
     u = (-f_hat + ydn + (k0 * e0 + k1 * e1) + h_infinity_term(cfg, e_vec)) / g_hat
-    return min(max(u, -cfg.u_max), cfg.u_max)
+    u = min(max(u, -cfg.u_max), cfg.u_max)
+    if not math.isfinite(u):
+        raise SingularControlError(
+            f"non-finite control: u = {u} (f_hat = {f_hat}, g_hat = {g_hat})")
+    return u
 
 
 def project_theta_g(approx_g: FuzzyApproximator, g_min: float) -> np.ndarray:
@@ -213,9 +219,9 @@ def adapt_step(approx_f: FuzzyApproximator, approx_g: FuzzyApproximator,
     """One explicit-Euler step of the gradient adaptation laws, in place.
 
     Updates theta_f and theta_g from the adaptation signal s = E^T P B and
-    the applied control u, then projects theta_g onto [g_min, inf). The two
-    approximators must come from fuzzy.paired (unchecked), so one update
-    writes both rows of their shared theta. Returns (theta_f, theta_g).
+    the applied control u, then projects theta_g onto [g_min, inf). The
+    thetas of the two approximators must be the rows of one (2, R) array
+    (unchecked), so one update writes both. Returns (theta_f, theta_g).
     """
     theta = approx_f.theta.base
     e0, e1 = e_vec

@@ -37,7 +37,12 @@ def main(argv=None) -> int:
     try:
         sources = [("preset", preset_text(args.preset))]
         if args.config is not None:
-            sources.append((args.config, Path(args.config).read_text(encoding="utf-8")))
+            raw = Path(args.config).read_bytes()
+            try:
+                sources.append((args.config, raw.decode("utf-8")))
+            except UnicodeDecodeError as exc:
+                line = raw.count(b"\n", 0, exc.start) + 1
+                raise ConfigError(f"{args.config} line {line}: not UTF-8 ({exc.reason})") from None
         overrides = []
         if args.seed is not None:
             overrides.append(f"seed = {args.seed}")

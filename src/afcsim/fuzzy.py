@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "MembershipGrid",
     "FuzzyApproximator",
-    "paired",
     "grid_over_box",
     "write_theta",
 ]
@@ -133,7 +132,8 @@ def grid_over_box(lo, hi, counts, width_scale: float) -> MembershipGrid:
 class FuzzyApproximator:
     """Rule consequent vector theta over a membership grid; output theta . xi(x).
 
-    theta is adapted in place by the owning control loop.
+    A float array given as theta is kept, not copied, so it stays a view of
+    whatever array the caller cut it from; the control loop adapts it in place.
     """
 
     grid: MembershipGrid
@@ -142,28 +142,14 @@ class FuzzyApproximator:
     def __post_init__(self):
         if self.theta is None:
             self.theta = np.zeros(self.grid.rule_count)
-        else:
-            self.theta = np.asarray(self.theta, dtype=float).reshape(-1).copy()
-        if self.theta.size != self.grid.rule_count:
+        self.theta = np.asarray(self.theta, dtype=float)
+        if self.theta.shape != (self.grid.rule_count,):
             raise ValueError(
-                f"theta has length {self.theta.size}, grid has {self.grid.rule_count} rules")
+                f"theta has shape {self.theta.shape}, grid has {self.grid.rule_count} rules")
 
     def evaluate(self, x) -> float:
         """theta . xi(x), reduced by np.add.reduce as the control loop does."""
         return float(np.add.reduce(self.theta * self.grid.regressor(x)))
-
-
-def paired(grid: MembershipGrid, theta_f, theta_g) -> tuple:
-    """Approximators of f and g whose theta vectors are the two rows of one
-    (2, rule_count) array, so that one numpy operation evaluates or updates
-    both (afhc.adapt_step relies on it). theta_f and theta_g may be scalars."""
-    theta = np.empty((2, grid.rule_count))
-    theta[0] = theta_f
-    theta[1] = theta_g
-    approx_f = FuzzyApproximator(grid)
-    approx_g = FuzzyApproximator(grid)
-    approx_f.theta, approx_g.theta = theta
-    return approx_f, approx_g
 
 
 def write_theta(path, grid: MembershipGrid, theta) -> None:

@@ -4,8 +4,9 @@ with metrics and CSV trace output.
 Per-step loop order: sense (through the sensor channel) -> build the
 reference and error vector -> filter the error -> evaluate the fuzzy
 estimates -> control law -> push the command through the actuator channel
--> integrate the plant with the delivered input -> adapt. Runs are fully
-deterministic for a fixed configuration, including the channel seeds.
+-> integrate the plant with the delivered input -> adapt. Each step is
+recorded as one row of a single float array, in TRACE_COLUMNS order. Runs are
+fully deterministic for a fixed configuration, including the channel seeds.
 """
 from __future__ import annotations
 
@@ -40,9 +41,11 @@ TRACE_BLOCK_ROWS = 4096
 class SimulationTrace:
     """Per-step record of one run, plus the final adapted parameters.
 
-    All columns share the same length; t is uniformly spaced by dt. When a
-    run aborts (non-finite dynamics, a singular or a non-finite control),
-    the arrays are truncated at the failing step and abort_reason says why.
+    All columns share the same length; t is uniformly spaced by dt. From
+    run_experiment, the float columns are views of its one row-per-step array
+    and the drop columns are bool copies. When a run aborts (non-finite
+    dynamics, a singular or a non-finite control), the columns end at the
+    failing step and abort_reason says why.
     """
 
     t: np.ndarray
@@ -97,18 +100,17 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
     uses the true plant f and g and adaptation is frozen (diagnostic
     configuration for checking the Lyapunov decrement).
     """
-    n_steps = cfg.n_steps
     dyn = plant.pendulum(cfg.plant, d0=cfg.disturbance.d0, omega_d=cfg.disturbance.omega)
     grid = cfg.fuzzy
-    approx_f, approx_g = fuzzy.paired(grid, 0.0, cfg.theta_g_init)
-    theta = approx_f.theta.base             # rows theta_f and theta_g
+    theta = np.empty((2, grid.rule_count))  # rows theta_f and theta_g
+    theta[0] = 0.0
+    theta[1] = cfg.theta_g_init
+    approx_f, approx_g = (fuzzy.FuzzyApproximator(grid, row) for row in theta)
     (p00, p01), (p10, p11) = cfg.controller.p
 
     sensor = netchan.Channel(cfg.sensor_channel)
     actuator = netchan.Channel(cfg.actuator_channel)
-
-    cols = {name: np.empty(n_steps, dtype=bool if name.startswith("drop_") else float)
-            for name in TRACE_COLUMNS}
+    rows = np.empty((cfg.n_steps, len(TRACE_COLUMNS)))
 
     x = tuple(cfg.x0.tolist())
     alpha = cfg.controller.filter_alpha
@@ -116,7 +118,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
     abort_reason = None
     steps_done = 0
 
-    for i in range(n_steps):
+    for i in range(cfg.n_steps):
         t = i * cfg.dt
 
         drop_sense = sensor.push(x)
@@ -136,34 +138,14 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
 
         try:
             u = afhc.control_law(cfg.controller, f_hat, g_hat, e_filtered, ref[2])
-        except afhc.SingularControlError as exc:
-            abort_reason = str(exc)
-            break
-        if not math.isfinite(u):
-            abort_reason = f"non-finite control: u = {u} (f_hat = {f_hat}, g_hat = {g_hat})"
-            break
-
-        drop_act = actuator.push(u)
-        u_applied = actuator.output()
-
-        cols["t"][i] = t
-        cols["x1"][i] = x[0]
-        cols["x2"][i] = x[1]
-        cols["xd"][i] = ref[0]
-        cols["e"][i] = ref[0] - x[0]
-        cols["e_filt"][i] = e0
-        cols["u"][i] = u
-        cols["u_applied"][i] = u_applied
-        cols["f_hat"][i] = f_hat
-        cols["g_hat"][i] = g_hat
-        cols["v"][i] = e0 * (p00 * e0 + p01 * e1) + e1 * (p10 * e0 + p11 * e1)
-        cols["drop_sensor"][i] = drop_sense
-        cols["drop_actuator"][i] = drop_act
-        steps_done = i + 1
-
-        try:
+            drop_act = actuator.push(u)
+            u_applied = actuator.output()
+            rows[i] = (t, x[0], x[1], ref[0], ref[0] - x[0], e0, u, u_applied, f_hat, g_hat,
+                       e0 * (p00 * e0 + p01 * e1) + e1 * (p10 * e0 + p11 * e1),
+                       drop_sense, drop_act)
+            steps_done = i + 1
             x = plant.rk4_step(dyn, x, u_applied, t, cfg.dt)
-        except plant.DynamicsOverflowError as exc:
+        except (afhc.SingularControlError, plant.DynamicsOverflowError) as exc:
             abort_reason = str(exc)
             break
 
@@ -172,13 +154,10 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
 
     if steps_done == 0:
         raise RuntimeError(f"run aborted before completing one step: {abort_reason}")
-    trace = SimulationTrace(
-        **{name: col[:steps_done] for name, col in cols.items()},
-        abort_reason=abort_reason,
-        theta_f=approx_f.theta.copy(),
-        theta_g=approx_g.theta.copy(),
-        grid=grid,
-    )
+    *values, drop_sensor, drop_actuator = rows[:steps_done].T
+    theta_f, theta_g = theta.copy()
+    trace = SimulationTrace(*values, drop_sensor.astype(bool), drop_actuator.astype(bool),
+                            abort_reason, theta_f, theta_g, grid)
     return trace, compute_metrics(trace, cfg)
 
 

@@ -140,15 +140,18 @@ def rk4_step(plant: PlantModel, x, u_applied: float, t: float,
     x + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), so results are bit-identical to it.
     A plant's own step (pendulum() has one) runs instead, in this same order.
     """
-    if plant.step is not None:
-        return plant.step(x, u_applied, t, dt)
-    x = tuple(x)
-    d_value = plant.d(t)
-    half = 0.5 * dt
-    k1 = _stage(plant, x, u_applied, d_value)
-    k2 = _stage(plant, tuple([a + half * k for a, k in zip(x, k1)]), u_applied, d_value)
-    k3 = _stage(plant, tuple([a + half * k for a, k in zip(x, k2)]), u_applied, d_value)
-    k4 = _stage(plant, tuple([a + dt * k for a, k in zip(x, k3)]), u_applied, d_value)
+    try:
+        if plant.step is not None:
+            return plant.step(x, u_applied, t, dt)
+        x = tuple(x)
+        d_value = plant.d(t)
+        half = 0.5 * dt
+        k1 = _stage(plant, x, u_applied, d_value)
+        k2 = _stage(plant, tuple([a + half * k for a, k in zip(x, k1)]), u_applied, d_value)
+        k3 = _stage(plant, tuple([a + half * k for a, k in zip(x, k2)]), u_applied, d_value)
+        k4 = _stage(plant, tuple([a + dt * k for a, k in zip(x, k3)]), u_applied, d_value)
+    except ValueError:      # math.sin or math.cos of a stage state that overflowed
+        raise DynamicsOverflowError("dynamics overflow: non-finite stage state") from None
     sixth = dt / 6.0
     out = tuple([a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
                  for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +9,17 @@ from afcsim import afhc, fuzzy
 P_DEFAULT = afhc.solve_lyapunov(afhc.companion([1.0, 2.0]), np.eye(2))
 
 
+def approximator_pair(grid, theta_f, theta_g):
+    """Approximators of f and g whose thetas are the rows of one (2, R) array,
+    as the control loop builds them."""
+    theta = np.empty((2, grid.rule_count))
+    theta[0], theta[1] = theta_f, theta_g
+    return tuple(fuzzy.FuzzyApproximator(grid, row) for row in theta)
+
+
 def two_rule_approximators(theta_f=(0.0, 0.0), theta_g=(1.0, 1.0)):
     grid = fuzzy.MembershipGrid((np.array([-1.0, 1.0]),), (np.array([1.0, 1.0]),))
-    return fuzzy.paired(grid, theta_f, theta_g)
+    return approximator_pair(grid, theta_f, theta_g)
 
 
 # ------------------------------------------------------------- solve_lyapunov
@@ -148,6 +158,24 @@ def test_control_tolerates_gain_at_the_floor():
     afhc.control_law(cfg, 0.0, 0.1 - 1e-13, [0.0, 0.0], 0.0)
 
 
+@pytest.mark.parametrize("f_hat, g_hat", [(math.nan, 1.0), (math.inf, math.inf)])
+def test_control_rejects_nan_command(f_hat, g_hat):
+    # saturation passes NaN through, so it must be caught after the clamp
+    cfg = afhc.ControllerConfig()
+    message = rf"^non-finite control: u = nan \(f_hat = {f_hat}, g_hat = {g_hat}\)$"
+    with pytest.raises(afhc.SingularControlError, match=message):
+        afhc.control_law(cfg, f_hat, g_hat, [0.0, 0.0], 0.0)
+
+
+def test_control_rejects_infinite_command_without_saturation():
+    cfg = afhc.ControllerConfig(u_max=math.inf)
+    with pytest.raises(afhc.SingularControlError, match=r"non-finite control: u = inf \("):
+        afhc.control_law(cfg, -math.inf, 1.0, [0.0, 0.0], 0.0)
+    # a finite u_max saturates the same infinite command to a usable one
+    assert afhc.control_law(afhc.ControllerConfig(u_max=5.0), -math.inf, 1.0,
+                            [0.0, 0.0], 0.0) == 5.0
+
+
 @settings(max_examples=100)
 @given(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5),
        st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))
@@ -180,7 +208,7 @@ def test_step_functions_bit_identical_to_array_forms():
     # multiply-add would round differently
     cfg = afhc.ControllerConfig(k=(1.7, 2.9), q=np.diag([1.3, 0.6]), r=0.13, u_max=50.0)
     (k0, k1), (p10, p11) = cfg.k, cfg.p[1]
-    approx_f, approx_g = fuzzy.paired(
+    approx_f, approx_g = approximator_pair(
         fuzzy.grid_over_box([-1.0, -1.0], [1.0, 1.0], [3, 4], 1.0), 0.0, 1.0)
     for _ in range(3000):
         prev = tuple(rng.normal(size=2).tolist())

@@ -171,12 +171,20 @@ def test_evaluate_is_convex_combination(point):
     assert theta.min() - 1e-12 <= val <= theta.max() + 1e-12
 
 
+def test_approximator_keeps_the_array_it_is_given():
+    g = benchmark_grid()
+    row = np.zeros((2, g.rule_count))[1]
+    approx = fuzzy.FuzzyApproximator(g, row)
+    assert approx.theta is row
+    row[3] = 7.0
+    assert approx.theta[3] == 7.0
+
+
 def test_paired_rows_share_one_array():
     g = benchmark_grid()
-    approx_f, approx_g = fuzzy.paired(g, 0.0, 2.0)
-    theta = approx_f.theta.base
-    assert theta.shape == (2, g.rule_count) and approx_g.theta.base is theta
-    assert np.all(approx_f.theta == 0.0) and np.all(approx_g.theta == 2.0)
+    theta = np.empty((2, g.rule_count))
+    approx_f, approx_g = (fuzzy.FuzzyApproximator(g, row) for row in theta)
+    assert approx_f.theta.base is theta and approx_g.theta.base is theta
     rng = np.random.default_rng(3)
     theta[:] = rng.normal(size=theta.shape)
     # evaluate reduces each row exactly as the control loop reduces both

@@ -30,6 +30,15 @@ def synthetic_trace(t, e, u=None, abort_reason=None):
 
 # -------------------------------------------------------------- run_experiment
 
+def test_trace_float_columns_are_views_of_one_row_per_step_array():
+    _, trace, _ = run_text("duration = 0.05")
+    floats = [getattr(trace, name) for name in harness.TRACE_COLUMNS[:-2]]
+    buffer = trace.t.base
+    assert buffer.shape == (len(trace), len(harness.TRACE_COLUMNS))
+    assert all(col.base is buffer for col in floats)
+    assert trace.drop_sensor.dtype == bool and trace.drop_actuator.dtype == bool
+
+
 def test_equilibrium_regulation_stays_exactly_at_zero():
     cfg, trace, metrics = run_text(
         "reference.amplitude = 0\ndisturbance.d0 = 0\nduration = 2")
@@ -320,6 +329,25 @@ def test_cli_non_finite_control_aborts_before_it_is_recorded(tmp_path, capsys):
                    (out / "metrics.txt").read_text().splitlines())
     assert metrics["diverged"] == "true"
     assert math.isfinite(float(metrics["max_abs_u"]))
+
+
+def test_cli_overflowing_stage_state_diverges(tmp_path, capsys):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("plant.pole_mass = 1e-300\nplant.half_length = 1e-300\n"
+                        "plant.x0 = 1.7976931348623e308, 1e306\nideal_model = true\n")
+    out = tmp_path / "run"
+    code = cli.main(["--config", str(cfg_file), "--duration", "0.002", "--out", str(out)])
+    assert code == 2
+    assert "abort_reason = dynamics overflow: non-finite stage state" in capsys.readouterr().out
+    assert "diverged = true" in (out / "metrics.txt").read_text()
+
+
+def test_cli_config_file_not_utf8_is_an_error(tmp_path, capsys):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_bytes(b"duration = 1\n\xff\xfe\n")
+    code = cli.main(["--config", str(cfg_file), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {cfg_file} line 2: not UTF-8 (invalid start byte)\n"
 
 
 # no preset drops sensor packets, so pin a run that does
