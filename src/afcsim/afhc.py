@@ -1,15 +1,17 @@
 """Indirect adaptive fuzzy tracking controller with an H-infinity auxiliary
 term.
 
-Setup, for a chain-of-integrators plant of order n with tracking error
-e = x_d - x1 and error vector E = (e, e', ..., e^(n-1)):
+Setup, for the order-2 tracking error e = x_d - x1 with error vector
+E = (e, e'):
 
-* gains k = (k1, ..., kn) whose companion matrix A_c (characteristic
-  polynomial s^n + kn s^(n-1) + ... + k1) is Hurwitz,
-* P solving the Lyapunov equation A_c^T P + P A_c = -Q,
+* gains k = (k1, k2), both positive, which is exactly when the error
+  dynamics A_c = [[0, 1], [-k1, -k2]] (characteristic polynomial
+  s^2 + k2 s + k1) are Hurwitz,
+* P solving the Lyapunov equation A_c^T P + P A_c = -Q for
+  Q = diag(q1, q2), in closed form,
 * certainty-equivalence control
       u = (1/g_hat) * (-f_hat + ydn + k.E + u_a),   u_a = (1/r) B^T P E,
-  saturated to [-u_max, u_max], with B = (0, ..., 0, 1)^T,
+  saturated to [-u_max, u_max], with B = (0, 1)^T,
 * gradient adaptation of the fuzzy consequents driven by s = E^T P B:
       dtheta_f/dt = -gamma_f * s * xi(x)
       dtheta_g/dt = -gamma_g * s * xi(x) * u
@@ -21,9 +23,9 @@ The adaptation signs make the candidate V = E^T P E decrease along ideal
 (model-matched) trajectories; this is verified numerically in the test
 suite rather than asserted.
 
-The controller runs at order n = 2. Its step functions write the small
-products k.E and B^T P E out as Python float expressions in a fixed order,
-so their rounding does not depend on the BLAS kernel numpy was built with.
+The step functions write the small products k.E and B^T P E out as Python
+float expressions in a fixed order, so their rounding does not depend on the
+BLAS kernel numpy was built with.
 """
 from __future__ import annotations
 
@@ -37,8 +39,6 @@ from .fuzzy import FuzzyApproximator
 __all__ = [
     "SingularControlError",
     "ControllerConfig",
-    "companion",
-    "solve_lyapunov",
     "filter_error",
     "h_infinity_term",
     "control_law",
@@ -52,84 +52,20 @@ class SingularControlError(RuntimeError):
     floor (a division by ~0), or the command came out non-finite."""
 
 
-def companion(k) -> np.ndarray:
-    """Companion matrix of s^n + k_n s^(n-1) + ... + k_1 in chain form.
-
-    Rows shift the error vector; the last row is -k.
-    """
-    k = np.asarray(k, dtype=float).reshape(-1)
-    n = k.size
-    if n < 1:
-        raise ValueError("k must have at least one gain")
-    a = np.zeros((n, n))
-    a[:-1, 1:] = np.eye(n - 1)
-    a[-1, :] = -k
-    return a
-
-
-def solve_lyapunov(a_c, q) -> np.ndarray:
-    """Solve A_c^T P + P A_c = -Q for symmetric positive-definite P.
-
-    The equation is solved as the dense Kronecker-sum system
-    (I (x) A^T + A^T (x) I) vec(P) = -vec(Q), which is plenty for the small
-    gain matrices used here. A_c must be finite and Hurwitz and Q finite,
-    symmetric and positive definite, otherwise no valid P exists; these
-    rules, and that P itself is symmetric and positive definite, are checked
-    here and nowhere else. Returns P as a read-only, exactly symmetric array.
-    """
-    a = np.asarray(a_c, dtype=float)
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("A_c must be a square matrix")
-    if q.shape != (n, n):
-        raise ValueError(f"Q must be {n}x{n}")
-    if not np.all(np.isfinite(q)):
-        raise ValueError("Q must be finite")
-    if not np.allclose(q, q.T, rtol=0, atol=1e-12 * (1 + np.abs(q).max())):
-        raise ValueError("Q must be symmetric")
-    if np.any(np.linalg.eigvalsh(q) <= 0):
-        raise ValueError("Q must be positive definite")
-    # eigvals raises LinAlgError, not ValueError, on a non-finite entry
-    if not (np.all(np.isfinite(a)) and np.all(np.linalg.eigvals(a).real < 0)):
-        raise ValueError("A_c must be finite and Hurwitz for a positive-definite solution")
-
-    eye = np.eye(n)
-    system = np.kron(eye, a.T) + np.kron(a.T, eye)
-    # extreme entries can make the solve singular or overflow in floating
-    # point; the residual test rejects any non-finite P that results
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            p = np.linalg.solve(system, -q.reshape(-1, order="F")).reshape(n, n, order="F")
-        except np.linalg.LinAlgError:
-            raise ValueError("A_c gives a singular Lyapunov system") from None
-        residual = np.linalg.norm(a.T @ p + p @ a + q)
-        tolerance = 1e-9 * max(1.0, np.linalg.norm(q))
-    if not residual <= tolerance:
-        raise ValueError(f"P misses the Lyapunov equation: residual {residual:.3e}")
-    if not np.allclose(p, p.T, rtol=0, atol=1e-9 * (1 + np.abs(p).max())):
-        raise ValueError("P must be symmetric")
-    if np.any(np.linalg.eigvalsh(p) <= 0):
-        raise ValueError("P must be positive definite")
-    # halving each term first cannot overflow; for normal floats it
-    # rounds exactly as 0.5 * (p + p.T) does
-    p = 0.5 * p + 0.5 * p.T
-    p.setflags(write=False)
-    return p
-
-
 @dataclass(frozen=True, eq=False)
 class ControllerConfig:
     """Tuning for the adaptive loop and the Lyapunov matrix p it implies.
 
-    Validated at construction: solve_lyapunov(companion(k), q) owns the
-    finite and Hurwitz rules on k and every rule on Q. The control step is
-    written out for an order-2 error vector, so k holds exactly two gains;
-    k and p, the rows of P, are kept as Python floats, which the step reads.
+    Validated at construction, the only place these rules are checked: k
+    holds two finite, positive gains (the Hurwitz condition at order 2),
+    q_diag two finite, positive weights, and p, the closed-form solution of
+    A_c^T P + P A_c = -diag(q_diag), must come out finite and positive
+    definite. k, q_diag and p, the rows of P, are kept as Python floats,
+    which the step functions read.
     """
 
     k: tuple = (1.0, 2.0)
-    q: np.ndarray = None
+    q_diag: tuple = (1.0, 1.0)
     r: float = 0.1
     gamma_f: float = 50.0
     gamma_g: float = 50.0
@@ -139,11 +75,24 @@ class ControllerConfig:
     p: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        k = np.asarray(self.k, dtype=float).reshape(-1)
-        if k.size != 2:
+        k = tuple(map(float, self.k))
+        if len(k) != 2:
             raise ValueError("k must have exactly 2 gains for the order-2 benchmark")
-        q = np.eye(k.size) if self.q is None else np.atleast_2d(np.asarray(self.q, float))
-        p = solve_lyapunov(companion(k), q)
+        if not all(0 < gain < math.inf for gain in k):
+            raise ValueError("k must be finite and positive, the Hurwitz condition at order 2")
+        q_diag = tuple(map(float, self.q_diag))
+        if not (len(q_diag) == 2 and all(0 < weight < math.inf for weight in q_diag)):
+            raise ValueError("q_diag must hold exactly 2 finite, positive weights")
+        (k1, k2), (q1, q2) = k, q_diag
+        # entries (0, 0), (1, 1) and (0, 1) of the equation, solved in turn
+        p01 = q1 / (2.0 * k1)
+        p11 = (2.0 * p01 + q2) / (2.0 * k2)
+        p00 = k2 * p01 + k1 * p11
+        p = ((p00, p01), (p01, p11))
+        if not all(map(math.isfinite, (p00, p01, p11))):
+            raise ValueError("P must be finite")
+        if not np.all(np.linalg.eigvalsh(p) > 0):
+            raise ValueError("P must be positive definite")
         # r = inf drops the auxiliary term and u_max = inf the saturation
         for name in ("r", "u_max"):
             if not getattr(self, name) > 0:
@@ -153,11 +102,9 @@ class ControllerConfig:
                 raise ValueError(f"{name} must be positive and finite")
         if not 0.0 < self.filter_alpha <= 1.0:
             raise ValueError("filter_alpha must lie in (0, 1]")
-        q = q.copy()
-        q.setflags(write=False)
-        object.__setattr__(self, "k", tuple(k.tolist()))
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", tuple(map(tuple, p.tolist())))
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "q_diag", q_diag)
+        object.__setattr__(self, "p", p)
 
 
 def filter_error(e_prev_filtered, e_raw, filter_alpha: float) -> tuple:

@@ -6,6 +6,7 @@ configuration or I/O errors.
 from __future__ import annotations
 
 import argparse
+import codecs
 import sys
 from pathlib import Path
 
@@ -38,6 +39,8 @@ def main(argv=None) -> int:
         sources = [("preset", preset_text(args.preset))]
         if args.config is not None:
             raw = Path(args.config).read_bytes()
+            # strip the mark here: utf-8-sig would count the error offset after it
+            raw = raw.removeprefix(codecs.BOM_UTF8)
             try:
                 sources.append((args.config, raw.decode("utf-8")))
             except UnicodeDecodeError as exc:

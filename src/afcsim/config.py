@@ -26,7 +26,7 @@ Schema (defaults in parentheses):
     actuator_channel.delay (0.0)    s, as sensor_channel.delay
     actuator_channel.drop_prob (0.0)
     actuator_channel.seed (seed + 2)
-    controller.k (1, 2)             feedback gains, companion form must be Hurwitz
+    controller.k (1, 2)             feedback gains k1, k2, both positive (Hurwitz)
     controller.q_diag (1, 1)        diagonal of the Lyapunov weight Q
     controller.r (0.1)              auxiliary-term weight
     controller.gamma_f (50.0)       adaptation rate for theta_f
@@ -45,9 +45,9 @@ Schema (defaults in parentheses):
 build_config also builds what the run derives from these keys: the fuzzy
 MembershipGrid (cfg.fuzzy) and the controller's Lyapunov matrix P
 (cfg.controller.p). The fuzzy.lo/hi/counts/width_scale keys are validated
-by the grid's constructors, the controller keys by ControllerConfig and
-afhc.solve_lyapunov, the plant parameters by PendulumParams; a ValueError
-from any of them becomes a ConfigError naming the key and its line. config
+by the grid's constructors, the controller keys and P by ControllerConfig,
+the plant parameters by PendulumParams; a ValueError from any of them
+becomes a ConfigError naming the key and its line. config
 itself checks only what no constructor owns: list lengths, the step and
 rule budgets, the reference and disturbance bounds, the channel delays as
 whole steps of dt and g_min <= theta_g_init < inf.
@@ -306,12 +306,10 @@ def build_config(sources: list) -> ExperimentConfig:
     if alpha is None:
         any_delay = values["sensor_channel.delay"] > 0 or values["actuator_channel.delay"] > 0
         alpha = 0.2 if any_delay else 1.0
-    # solve_lyapunov reports A_c (from k), Q (from q_diag) and P (from both)
-    with _reported("controller", where, {"a_c": ("controller.k",),
-                                         "q": ("controller.q_diag",),
-                                         "p": ("controller.k", "controller.q_diag")}):
+    # P is derived from both k and q_diag
+    with _reported("controller", where, {"p": ("controller.k", "controller.q_diag")}):
         controller = ControllerConfig(k=values["controller.k"],
-                                      q=np.diag(values["controller.q_diag"]),
+                                      q_diag=values["controller.q_diag"],
                                       r=values["controller.r"],
                                       gamma_f=values["controller.gamma_f"],
                                       gamma_g=values["controller.gamma_g"],

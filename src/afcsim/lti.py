@@ -236,8 +236,8 @@ def hinf_norm(ss: StateSpaceModel, tol: float = 1e-8) -> float:
     sigma_max(D); otherwise an A with an eigenvalue off the open left
     half-plane raises UnstableSystemError.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if ss.n_states == 0:
         return _sigma_max(ss.D)
     a, b, c, d = ss.A, ss.B, ss.C, ss.D

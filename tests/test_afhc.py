@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from afcsim import afhc, fuzzy
 
-P_DEFAULT = afhc.solve_lyapunov(afhc.companion([1.0, 2.0]), np.eye(2))
+# Lyapunov matrix for k = (1, 2) and Q = I, solved by hand
+P_DEFAULT = np.array([[1.5, 0.5], [0.5, 0.5]])
 
 
 def approximator_pair(grid, theta_f, theta_g):
@@ -22,60 +25,70 @@ def two_rule_approximators(theta_f=(0.0, 0.0), theta_g=(1.0, 1.0)):
     return approximator_pair(grid, theta_f, theta_g)
 
 
-# ------------------------------------------------------------- solve_lyapunov
-
-def test_lyapunov_scalar_case():
-    assert afhc.solve_lyapunov([[-1.0]], [[2.0]])[0, 0] == pytest.approx(1.0, abs=1e-14)
-
+# ---------------------------------------------------------- the Lyapunov matrix
 
 def test_lyapunov_companion_residual_and_definiteness():
-    a = afhc.companion([1.0, 2.0])   # s^2 + 2s + 1
-    p = afhc.solve_lyapunov(a, np.eye(2))
-    assert np.linalg.norm(a.T @ p + p @ a + np.eye(2)) < 1e-9
+    a = np.array([[0.0, 1.0], [-1.0, -2.0]])   # s^2 + 2s + 1
+    p = np.array(afhc.ControllerConfig(k=(1.0, 2.0), q_diag=(1.0, 1.0)).p)
+    assert np.array_equal(a.T @ p + p @ a, -np.eye(2))
     assert np.all(np.linalg.eigvalsh(p) > 0)
-    assert np.allclose(p, [[1.5, 0.5], [0.5, 0.5]])
+    assert np.array_equal(p, P_DEFAULT)
 
 
 def test_lyapunov_linear_in_q():
-    a = afhc.companion([2.0, 3.0])
-    p1 = afhc.solve_lyapunov(a, np.eye(2))
-    p2 = afhc.solve_lyapunov(a, 2.0 * np.eye(2))
-    assert np.allclose(p2, 2.0 * p1, rtol=1e-12)
+    p1 = afhc.ControllerConfig(k=(2.0, 3.0), q_diag=(1.0, 1.0)).p
+    p2 = afhc.ControllerConfig(k=(2.0, 3.0), q_diag=(2.0, 2.0)).p
+    assert p2 == tuple(tuple(2.0 * v for v in row) for row in p1)
 
 
-@pytest.mark.parametrize("k, q", [((1.0, 2.0), np.eye(2)), ((1.7, 2.9), np.diag([1.3, 0.6]))])
+@pytest.mark.parametrize("k, q", [((1.0, 2.0), (1.0, 1.0)), ((1.7, 2.9), (1.3, 0.6))])
 def test_lyapunov_solution_read_only_and_exactly_symmetric(k, q):
-    p = afhc.solve_lyapunov(afhc.companion(k), q)
-    assert not p.flags.writeable
-    assert np.array_equal(p, p.T)
-    rows = afhc.ControllerConfig(k=k, q=q).p
-    assert rows == tuple(map(tuple, p.tolist()))
+    rows = afhc.ControllerConfig(k=k, q_diag=q).p
+    assert rows[0][1] == rows[1][0]
     assert type(rows) is tuple and all(type(row) is tuple for row in rows)
     assert all(type(v) is float for row in rows for v in row)
 
 
 def test_lyapunov_rejects_non_hurwitz():
-    with pytest.raises(ValueError, match="Hurwitz"):
-        afhc.solve_lyapunov([[1.0]], [[1.0]])
+    # s^2 + k2 s + k1 is Hurwitz exactly when k1 > 0 and k2 > 0
+    for k in ((-1.0, 2.0), (1.0, 0.0)):
+        assert np.max(np.roots([1.0, k[1], k[0]]).real) >= 0
+        with pytest.raises(ValueError, match="^k .*Hurwitz"):
+            afhc.ControllerConfig(k=k)
 
 
 def test_lyapunov_rejects_non_finite_a_c():
-    # eigvals alone would raise LinAlgError ("Array must not contain infs or NaNs")
-    with pytest.raises(ValueError, match="^A_c"):
-        afhc.solve_lyapunov([[0.0, 1.0], [np.nan, -2.0]], np.eye(2))
+    for k in ((math.nan, 2.0), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="^k "):
+            afhc.ControllerConfig(k=k)
 
 
-def test_lyapunov_random_hurwitz_systems():
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        n = int(rng.integers(1, 6))
-        a = rng.normal(size=(n, n))
-        a -= (np.linalg.eigvals(a).real.max() + 0.5) * np.eye(n)
-        m = rng.normal(size=(n, n))
-        q = m @ m.T + np.eye(n)
-        p = afhc.solve_lyapunov(a, q)
-        assert np.linalg.norm(a.T @ p + p @ a + q) < 1e-9 * np.linalg.norm(q)
-        assert np.all(np.linalg.eigvalsh(p) > 0)
+def scaled_lyapunov_residual(k, q_diag, p):
+    """max|A_c'P + P A_c + Q| / (max(1, k1, k2) max|P| + max|Q|), in exact
+    rational arithmetic, so that neither overflow nor its own rounding shows."""
+    (k1, k2), (q1, q2) = map(Fraction, k), map(Fraction, q_diag)
+    (p00, p01), (_, p11) = ((Fraction(v) for v in row) for row in p)
+    residual = (q1 - 2 * k1 * p01, p00 - k1 * p11 - k2 * p01, q2 + 2 * p01 - 2 * k2 * p11)
+    scale = max(1, k1, k2) * max(p00, p01, p11) + max(q1, q2)
+    return max(map(abs, residual)) / scale
+
+
+@settings(max_examples=500, derandomize=True, database=None)
+@given(st.lists(st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e), min_size=4, max_size=4))
+def test_lyapunov_random_hurwitz_systems(draw):
+    # any positive gains and weights over 10^(+-300): either a ValueError
+    # that names what it rejects, or a positive-definite P that solves the
+    # equation to within rounding
+    k, q_diag = draw[:2], draw[2:]
+    try:
+        p = afhc.ControllerConfig(k=k, q_diag=q_diag).p
+    except ValueError as exc:
+        assert str(exc).split()[0] in ("k", "q_diag", "P")
+        return
+    assert all(math.isfinite(v) for row in p for v in row)
+    assert p[0][1] == p[1][0]
+    assert np.all(np.linalg.eigvalsh(p) > 0)
+    assert scaled_lyapunov_residual(k, q_diag, p) <= 4 * sys.float_info.epsilon
 
 
 # ----------------------------------------------------------- ControllerConfig
@@ -86,10 +99,9 @@ def test_config_rejects_non_hurwitz_gains():
 
 
 def test_config_rejects_bad_q():
-    with pytest.raises(ValueError, match="symmetric"):
-        afhc.ControllerConfig(k=[1.0, 2.0], q=[[1.0, 0.5], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="definite"):
-        afhc.ControllerConfig(k=[1.0, 2.0], q=[[1.0, 0.0], [0.0, -1.0]])
+    for q_diag in ((1.0, -1.0), (0.0, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, 1.0, 1.0)):
+        with pytest.raises(ValueError, match="^q_diag"):
+            afhc.ControllerConfig(q_diag=q_diag)
 
 
 def test_config_rejects_bad_scalars():
@@ -206,7 +218,7 @@ def test_step_functions_bit_identical_to_array_forms():
     rng = np.random.default_rng(8)
     # gains and weights whose products with E are inexact, so that a fused
     # multiply-add would round differently
-    cfg = afhc.ControllerConfig(k=(1.7, 2.9), q=np.diag([1.3, 0.6]), r=0.13, u_max=50.0)
+    cfg = afhc.ControllerConfig(k=(1.7, 2.9), q_diag=(1.3, 0.6), r=0.13, u_max=50.0)
     (k0, k1), (p10, p11) = cfg.k, cfg.p[1]
     approx_f, approx_g = approximator_pair(
         fuzzy.grid_over_box([-1.0, -1.0], [1.0, 1.0], [3, 4], 1.0), 0.0, 1.0)
@@ -298,13 +310,3 @@ def test_adapt_applies_projection():
     afhc.adapt_step(approx_f, approx_g, np.array([1.0, 0.0]),
                     np.array([0.0, 1.0]), 10.0, cfg, 0.1)
     assert np.all(approx_g.theta >= 0.1)
-
-
-# ------------------------------------------------------------------ companion
-
-def test_companion_matches_polynomial_roots():
-    a = afhc.companion([1.0, 2.0])
-    assert np.allclose(sorted(np.linalg.eigvals(a).real), [-1.0, -1.0])
-    assert np.allclose(np.linalg.eigvals(a).imag, 0.0)
-    a = afhc.companion([2.0, 3.0])     # s^2 + 3s + 2 -> roots -1, -2
-    assert np.allclose(sorted(np.linalg.eigvals(a).real), [-2.0, -1.0])

@@ -19,7 +19,7 @@ def test_empty_document_gives_nominal_defaults():
     assert cfg.sensor_channel.delay_steps == 0 and cfg.actuator_channel.delay_steps == 0
     assert cfg.sensor_channel.drop_prob == 0.0
     assert np.array_equal(cfg.controller.k, [1.0, 2.0])
-    assert np.array_equal(cfg.controller.q, np.eye(2))
+    assert cfg.controller.q_diag == (1.0, 1.0)
     assert cfg.controller.r == 0.1
     assert cfg.controller.gamma_f == 50.0 and cfg.controller.gamma_g == 50.0
     assert cfg.controller.u_max == 180.0
@@ -110,6 +110,7 @@ def test_missing_equals_rejected():
     ("duration = 5\ncontroller.k = 1e-300, 1e-320", r"'controller\.k' \(config line 2\)"),
     ("duration = 5\ncontroller.k = 1e154, 1e-300", r"'controller\.k' \(config line 2\)"),
     ("duration = 5\ncontroller.k = 1, 2, 3", r"'controller\.k' \(config line 2\): k must have"),
+    ("duration = 5\ncontroller.q_diag = 1, 1, 1", r"'controller\.q_diag' \(config line 2\)"),
     ("duration = 5\nactuator_channel.delay = nan", r"'actuator_channel\.delay' \(config line 2\)"),
     ("duration = 5\nsensor_channel.delay = -0.1", r"'sensor_channel\.delay' \(config line 2\)"),
     ("duration = 5\nactuator_channel.delay = inf", r"'actuator_channel\.delay' \(config line 2\)"),
@@ -137,6 +138,16 @@ def test_invariant_violations_rejected(text, match):
     with pytest.raises(config.ConfigError, match=match) as excinfo:
         config.parse_config(text)
     assert re.search(r"'[\w.]+' \(config line \d+\)", str(excinfo.value))
+
+
+@pytest.mark.parametrize("gains", ["1e-6, 5e5", "1e-7, 1e4"])
+def test_stiff_hurwitz_gains_accepted(gains):
+    # both roots of s^2 + k2 s + k1 are negative, one of them tiny
+    cfg = config.parse_config(f"controller.k = {gains}")
+    k1, k2 = cfg.controller.k
+    disc = math.sqrt(k2 * k2 - 4 * k1)
+    assert -(k2 + disc) / 2 < 0 and -2 * k1 / (k2 + disc) < 0
+    assert all(math.isfinite(v) for row in cfg.controller.p for v in row)
 
 
 def test_infinite_r_and_u_max_accepted():

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from afcsim import afhc, cli, config, harness
+from afcsim import cli, config, harness
 
 
 def run_text(text=""):
@@ -131,13 +131,18 @@ def test_ideal_model_decrement_matches_quadratic_rate():
     cfg, trace, _ = run_text(
         f"ideal_model = true\ndisturbance.d0 = 0\nplant.x0 = -0.1, {amp}\n"
         "controller.r = 1e9\nduration = 6")
-    p = afhc.solve_lyapunov(afhc.companion(cfg.controller.k), cfg.controller.q)
+    # reference P: entries (0, 0), (0, 1) and (1, 1) of A_c'P + P A_c = -Q in
+    # the unknowns (p00, p01, p11), with A_c = [[0, 1], [-k1, -k2]]
+    (k1, k2), q = cfg.controller.k, np.diag(cfg.controller.q_diag)
+    p00, p01, p11 = np.linalg.solve([[0.0, -2 * k1, 0.0], [1.0, -k2, -k1], [0.0, 2.0, -2 * k2]],
+                                    [-q[0, 0], 0.0, -q[1, 1]])
+    p = np.array([[p00, p01], [p01, p11]])
     xd_dot = cfg.reference.amplitude * np.cos(trace.t)
     e_vecs = np.stack([trace.e_filt, xd_dot - trace.x2], axis=1)
     v = np.einsum("ij,jk,ik->i", e_vecs, p, e_vecs)
     assert np.max(np.abs(v - trace.v)) < 1e-12
     dv = np.diff(trace.v) / cfg.dt
-    w = np.einsum("ij,jk,ik->i", e_vecs, cfg.controller.q, e_vecs)
+    w = np.einsum("ij,jk,ik->i", e_vecs, q, e_vecs)
     mid = 0.5 * (w[:-1] + w[1:])
     residual = np.abs(dv + mid)
     assert np.all(residual <= 0.01 * mid + 1e-3 * np.sqrt(mid) + 1e-12)
@@ -345,6 +350,22 @@ def test_cli_overflowing_stage_state_diverges(tmp_path, capsys):
 def test_cli_config_file_not_utf8_is_an_error(tmp_path, capsys):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_bytes(b"duration = 1\n\xff\xfe\n")
+    code = cli.main(["--config", str(cfg_file), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {cfg_file} line 2: not UTF-8 (invalid start byte)\n"
+
+
+def test_cli_config_file_with_byte_order_mark_runs(tmp_path):
+    cfg_file = tmp_path / "bom.cfg"
+    cfg_file.write_bytes(b"\xef\xbb\xbfduration = 0.01\n")
+    out = tmp_path / "run"
+    assert cli.main(["--config", str(cfg_file), "--out", str(out), "--quiet"]) == 0
+    assert len((out / "trace.csv").read_text().splitlines()) == 1 + 10
+
+
+def test_cli_config_file_with_byte_order_mark_reports_the_line(tmp_path, capsys):
+    cfg_file = tmp_path / "bom.cfg"
+    cfg_file.write_bytes(b"\xef\xbb\xbfduration = 1\n\xff\xfe\n")
     code = cli.main(["--config", str(cfg_file), "--out", str(tmp_path / "o")])
     assert code == 1
     assert capsys.readouterr().err == f"error: {cfg_file} line 2: not UTF-8 (invalid start byte)\n"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -274,6 +276,13 @@ def test_hinf_norm_mimo_with_smaller_singular_value_crossing():
     assert norm == pytest.approx(grid_peak_gain(ss), rel=1e-6)
 
 
+def test_hinf_norm_rejects_non_finite_tol():
+    # an infinite tol used to return inf for 1/(s+1), a NaN one a LinAlgError
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^tol must be positive and finite"):
+            lti.hinf_norm(lag(), tol=tol)
+
+
 def test_hinf_norm_reports_bracket_when_iterations_exhausted(monkeypatch):
     monkeypatch.setattr(lti, "_MAX_ITERATIONS", 0)
     with pytest.raises(lti.HinfConvergenceError) as err:
@@ -361,5 +370,6 @@ def test_margin_rejects_invalid_tol_for_either_loop():
     # hinf_norm owns the tol rule, so an unstable loop does not skip it
     unstable_plant = lti.StateSpaceModel([[1.0]], [[1.0]], [[1.0]], [[0.0]])   # 1/(s-1)
     for ps in (lag(), unstable_plant):
-        with pytest.raises(ValueError, match="tol"):
-            lti.robustness_margin(ps, lti.static_gain([[0.5]]), tol=-1.0)
+        for tol in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol"):
+                lti.robustness_margin(ps, lti.static_gain([[0.5]]), tol=tol)
