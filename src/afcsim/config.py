@@ -40,21 +40,22 @@ Schema (defaults in parentheses):
     fuzzy.counts (5, 5)             memberships per dimension; at most
                                     MAX_RULES rules in all
     fuzzy.width_scale (1.0)         width = scale * center spacing
-    fuzzy.theta_g_init (1.0)        initial theta_g entries (finite, >= g_min)
+    fuzzy.theta_g_init (1.0)        initial theta_g entries, g_min to max float / 2
 
 build_config also builds what the run derives from these keys: the fuzzy
 MembershipGrid (cfg.fuzzy) and the controller's Lyapunov matrix P
 (cfg.controller.p). The fuzzy.lo/hi/counts/width_scale keys are validated
-by the grid's constructors, the controller keys and P by ControllerConfig,
+by grid_over_box, the controller keys and P by ControllerConfig,
 the plant parameters by PendulumParams; a ValueError from any of them
 becomes a ConfigError naming the key and its line. config
 itself checks only what no constructor owns: list lengths, the step and
 rule budgets, the reference and disturbance bounds, the channel delays as
-whole steps of dt and g_min <= theta_g_init < inf.
+whole steps of dt and g_min <= theta_g_init <= sys.float_info.max / 2.
 """
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -329,9 +330,9 @@ def build_config(sources: list) -> ExperimentConfig:
             "widths": ("fuzzy.width_scale", "fuzzy.lo", "fuzzy.hi")}):
         grid = grid_over_box(values["fuzzy.lo"], values["fuzzy.hi"], counts,
                              values["fuzzy.width_scale"])
-    _require(controller.g_min <= values["fuzzy.theta_g_init"] < math.inf, "fuzzy.theta_g_init",
-             where["fuzzy.theta_g_init"],
-             "must be finite and at least controller.g_min (the control law divides by g_hat)")
+    _require(controller.g_min <= values["fuzzy.theta_g_init"] <= sys.float_info.max / 2,
+             "fuzzy.theta_g_init", where["fuzzy.theta_g_init"],
+             "must be in [controller.g_min, sys.float_info.max / 2] (the law divides by g_hat)")
 
     sensor = _channel_config(values, where, "sensor_channel", dt, seed, 1,
                              initial_value=tuple(x0.tolist()))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -25,45 +25,23 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class MembershipGrid:
-    """Per-dimension Gaussian membership centers and widths.
+    """Gaussian membership centers and one shared width per dimension.
 
-    centers[i] must be finite and strictly increasing and widths[i] finite
-    and strictly positive; the rule count is the product of the
-    per-dimension membership counts.
+    centers[i] is a tuple of floats and widths[i] the float width of every
+    membership of dimension i; the rule count is the product of the
+    per-dimension membership counts. grid_over_box builds and checks it.
     """
 
     centers: tuple
     widths: tuple
 
-    def __post_init__(self):
-        centers = tuple(np.asarray(c, dtype=float).reshape(-1) for c in self.centers)
-        widths = tuple(np.asarray(w, dtype=float).reshape(-1) for w in self.widths)
-        if len(centers) != len(widths) or not centers:
-            raise ValueError("centers and widths must list the same nonzero number of dimensions")
-        for i, (c, w) in enumerate(zip(centers, widths)):
-            if c.size != w.size or c.size < 1:
-                raise ValueError(f"dimension {i}: centers and widths must match and be nonempty")
-            if not np.all(np.isfinite(c)):
-                raise ValueError(f"centers must be finite (dimension {i})")
-            if not np.all(np.isfinite(w) & (w > 0)):
-                raise ValueError(f"widths must be finite and strictly positive (dimension {i})")
-            if c.size > 1 and np.any(np.diff(c) <= 0):
-                raise ValueError(f"centers must be strictly increasing (dimension {i})")
-            c.setflags(write=False)
-            w.setflags(write=False)
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "widths", widths)
-        # (center, width) pairs per dimension, as Python floats for regressor
-        object.__setattr__(self, "_axes", tuple(tuple(zip(c.tolist(), w.tolist()))
-                                                for c, w in zip(centers, widths)))
-
     @property
     def counts(self) -> tuple:
-        return tuple(c.size for c in self.centers)
+        return tuple(len(c) for c in self.centers)
 
     @property
     def rule_count(self) -> int:
-        return int(np.prod(self.counts))
+        return math.prod(self.counts)
 
     def regressor(self, x) -> np.ndarray:
         """Normalized firing strengths xi(x): positive, summing to one.
@@ -77,8 +55,8 @@ class MembershipGrid:
         x holds one value per grid dimension; its length is not checked here.
         """
         xi = None
-        for v, axis in zip(x, self._axes):
-            sq = [z * z for z in [(v - c) / w for c, w in axis]]
+        for v, centers, w in zip(x, self.centers, self.widths):
+            sq = [z * z for z in [(v - c) / w for c in centers]]
             low = min(sq)
             mu = [math.exp(low - q) for q in sq]
             total = reduce(operator.add, mu)
@@ -91,8 +69,10 @@ def grid_over_box(lo, hi, counts, width_scale: float) -> MembershipGrid:
     """Uniform membership grid over the box [lo, hi].
 
     Per dimension, centers are evenly spaced across [lo, hi] (a single
-    membership sits at the midpoint) and every width is width_scale times
-    the center spacing, or width_scale * (hi - lo) when there is only one.
+    membership sits at the midpoint) and the width is width_scale times the
+    center spacing, or width_scale * (hi - lo) when there is only one. Every
+    dimension must give finite, strictly increasing centers and a finite,
+    strictly positive width.
     """
     lo = np.asarray(lo, dtype=float).reshape(-1)
     hi = np.asarray(hi, dtype=float).reshape(-1)
@@ -109,22 +89,27 @@ def grid_over_box(lo, hi, counts, width_scale: float) -> MembershipGrid:
         raise ValueError("counts must be >= 1")
     centers = []
     widths = []
-    # MembershipGrid rejects non-positive widths (from width_scale) and the
-    # non-finite centers or widths of a span that overflows; numpy need not
-    # warn about the latter first
-    with np.errstate(over="ignore", invalid="ignore"):
-        for l, h, m in zip(lo, hi, counts):
-            if m == 1:
-                centers.append(np.array([(l + h) / 2.0]))
-                w = width_scale * (h - l)
-            else:
-                c = np.linspace(l, h, m)
-                centers.append(c)
-                w = width_scale * (c[1] - c[0])
-            # the regressor squares (x - c) / w, which reaches (h - l) / w on the box
-            if w > 0 and not ((h - l) / w) ** 2 < math.inf:
-                raise ValueError("widths too small: ((hi - lo) / width) ** 2 overflows")
-            widths.append(np.full(m, w))
+    for i, (l, h, m) in enumerate(zip(lo.tolist(), hi.tolist(), counts)):
+        if m == 1:
+            c = ((l + h) / 2.0,)
+            w = width_scale * (h - l)
+        else:
+            # an overflowing span gives non-finite centers, rejected below
+            with np.errstate(over="ignore", invalid="ignore"):
+                c = tuple(np.linspace(l, h, m).tolist())
+            w = width_scale * (c[1] - c[0])
+        if not all(map(math.isfinite, c)):
+            raise ValueError(f"centers must be finite (dimension {i})")
+        if not 0 < w < math.inf:
+            raise ValueError(f"widths must be finite and strictly positive (dimension {i})")
+        if any(b <= a for a, b in zip(c, c[1:])):
+            raise ValueError(f"centers must be strictly increasing (dimension {i})")
+        # the regressor squares (x - c) / w, which reaches (h - l) / w on the box
+        z = (h - l) / w
+        if not z * z < math.inf:
+            raise ValueError("widths too small: ((hi - lo) / width) ** 2 overflows")
+        centers.append(c)
+        widths.append(w)
     return MembershipGrid(tuple(centers), tuple(widths))
 
 
@@ -137,19 +122,13 @@ class FuzzyApproximator:
     """
 
     grid: MembershipGrid
-    theta: np.ndarray = field(default=None)
+    theta: np.ndarray
 
     def __post_init__(self):
-        if self.theta is None:
-            self.theta = np.zeros(self.grid.rule_count)
         self.theta = np.asarray(self.theta, dtype=float)
         if self.theta.shape != (self.grid.rule_count,):
             raise ValueError(
                 f"theta has shape {self.theta.shape}, grid has {self.grid.rule_count} rules")
-
-    def evaluate(self, x) -> float:
-        """theta . xi(x), reduced by np.add.reduce as the control loop does."""
-        return float(np.add.reduce(self.theta * self.grid.regressor(x)))
 
 
 def write_theta(path, grid: MembershipGrid, theta) -> None:
@@ -157,7 +136,7 @@ def write_theta(path, grid: MembershipGrid, theta) -> None:
     lines = ["# rule order: row-major over the membership grid (last input fastest)"]
     for i, (c, w) in enumerate(zip(grid.centers, grid.widths)):
         lines.append(f"# dim {i} centers: " + " ".join(f"{v:.9e}" for v in c))
-        lines.append(f"# dim {i} widths: " + " ".join(f"{v:.9e}" for v in w))
+        lines.append(f"# dim {i} widths: " + " ".join([f"{w:.9e}"] * len(c)))
     lines.append("rule theta")
     for j, value in enumerate(theta):
         lines.append(f"{j} {value:.9e}")

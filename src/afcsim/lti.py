@@ -29,7 +29,8 @@ __all__ = [
     "robustness_margin",
 ]
 
-# An eigenvalue counts as imaginary-axis when |Re| < _IMAG_AXIS_RTOL * (1 + |lambda|).
+# An eigenvalue of the Hamiltonian H counts as imaginary-axis when
+# |Re| < _IMAG_AXIS_RTOL * (||H||_1 + |lambda|): its rounding grows with ||H||.
 _IMAG_AXIS_RTOL = 1e-8
 
 _MAX_ITERATIONS = 200
@@ -48,12 +49,11 @@ class IllPosedLoopError(ValueError):
 
 
 class HinfConvergenceError(RuntimeError):
-    """Norm iteration failed to converge; carries the best bracket."""
+    """Norm iteration failed to converge; carries the best lower bound."""
 
-    def __init__(self, message: str, lower: float, upper: float):
-        super().__init__(f"{message} (best bracket [{lower:.9e}, {upper:.9e}])")
+    def __init__(self, message: str, lower: float):
+        super().__init__(f"{message} (best lower bound {lower:.9e})")
         self.lower = lower
-        self.upper = upper
 
 
 def _matrix(value, name: str) -> np.ndarray:
@@ -214,7 +214,7 @@ def _crossings(a, b, c, d, gamma: float) -> np.ndarray:
     h = np.block([[arc, b @ rinv_bt],
                   [-c.T @ (np.eye(p) + d @ rinv_dt) @ c, -arc.T]])
     eigs = np.linalg.eigvals(h)
-    on_axis = np.abs(eigs.real) < _IMAG_AXIS_RTOL * (1.0 + np.abs(eigs))
+    on_axis = np.abs(eigs.real) < _IMAG_AXIS_RTOL * (np.abs(h).sum(axis=0).max() + np.abs(eigs))
     return np.sort(eigs.imag[on_axis])
 
 
@@ -257,7 +257,7 @@ def hinf_norm(ss: StateSpaceModel, tol: float = 1e-8) -> float:
         if peak <= gamma:
             return 0.5 * (lower + gamma)
         lower = peak
-    raise HinfConvergenceError("level-set iteration did not converge", lower, math.inf)
+    raise HinfConvergenceError("level-set iteration did not converge", lower)
 
 
 def closed_loop_tzw(ps: StateSpaceModel, k: StateSpaceModel) -> StateSpaceModel:

@@ -26,6 +26,11 @@ def grid_peak_gain(ss, n_points=100_000, w_lo=1e-3, w_hi=1e4):
     return float(np.linalg.svd(resp, compute_uv=False)[:, 0].max())
 
 
+def estimate(grid, theta, x):
+    """theta . xi(x), reduced by np.add.reduce as the control loop does."""
+    return float(np.add.reduce(theta * grid.regressor(x)))
+
+
 def make_stable_system(rng, n=None, m=None, p=None, d_scale=0.2):
     """Random stable system with well-damped poles and a dominant finite-
     frequency gain peak, so a dense frequency grid resolves its norm."""

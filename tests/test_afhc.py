@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from afcsim import afhc, fuzzy
+from conftest import estimate
 
 # Lyapunov matrix for k = (1, 2) and Q = I, solved by hand
 P_DEFAULT = np.array([[1.5, 0.5], [0.5, 0.5]])
@@ -21,7 +22,7 @@ def approximator_pair(grid, theta_f, theta_g):
 
 
 def two_rule_approximators(theta_f=(0.0, 0.0), theta_g=(1.0, 1.0)):
-    grid = fuzzy.MembershipGrid((np.array([-1.0, 1.0]),), (np.array([1.0, 1.0]),))
+    grid = fuzzy.grid_over_box([-1.0], [1.0], [2], 0.5)
     return approximator_pair(grid, theta_f, theta_g)
 
 
@@ -300,7 +301,7 @@ def test_projection_bounds_g_estimate_everywhere():
     approx_g = fuzzy.FuzzyApproximator(grid, rng.normal(size=grid.rule_count))
     afhc.project_theta_g(approx_g, 0.1)
     for point in rng.uniform(-3.0, 3.0, size=(1000, 2)):
-        assert approx_g.evaluate(point) >= 0.1 - 1e-12
+        assert estimate(grid, approx_g.theta, point) >= 0.1 - 1e-12
 
 
 def test_adapt_applies_projection():

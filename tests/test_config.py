@@ -1,10 +1,11 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
 
-from afcsim import config
+from afcsim import config, harness
 
 
 def test_empty_document_gives_nominal_defaults():
@@ -133,11 +134,21 @@ def test_missing_equals_rejected():
     ("duration = 5\ncontroller.gamma_g = inf", r"'controller\.gamma_g' \(config line 2\)"),
     ("duration = 5\ncontroller.g_min = inf", r"'controller\.g_min' \(config line 2\)"),
     ("duration = 5\nfuzzy.theta_g_init = inf", r"'fuzzy\.theta_g_init' \(config line 2\)"),
+    ("duration = 5\nfuzzy.theta_g_init = 1.7976931348623157e308",
+     r"'fuzzy\.theta_g_init' \(config line 2\)"),
 ])
 def test_invariant_violations_rejected(text, match):
     with pytest.raises(config.ConfigError, match=match) as excinfo:
         config.parse_config(text)
     assert re.search(r"'[\w.]+' \(config line \d+\)", str(excinfo.value))
+
+
+def test_largest_theta_g_init_runs_without_overflow():
+    # at the cap the g estimate, a sum over the rules, stays finite; pytest turns
+    # numpy's overflow warning into an error
+    cfg = config.parse_config(f"fuzzy.theta_g_init = {sys.float_info.max / 2!r}\nduration = 0.05")
+    trace, metrics = harness.run_experiment(cfg)
+    assert len(trace) == 50 and np.all(np.isfinite(trace.g_hat)) and not metrics.diverged
 
 
 @pytest.mark.parametrize("gains", ["1e-6, 5e5", "1e-7, 1e4"])

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from afcsim import fuzzy
+from conftest import estimate
 
 box_points = st.tuples(st.floats(-1.5, 1.5), st.floats(-3.0, 3.0))
 
 
 def two_rule_grid():
-    return fuzzy.MembershipGrid((np.array([-1.0, 1.0]),), (np.array([1.0, 1.0]),))
+    return fuzzy.grid_over_box([-1.0], [1.0], [2], 0.5)
 
 
 def benchmark_grid():
@@ -52,9 +53,10 @@ def test_invalid_box_rejected():
 
 def test_grid_invariants_enforced():
     with pytest.raises(ValueError, match="increasing"):
-        fuzzy.MembershipGrid((np.array([1.0, -1.0]),), (np.array([1.0, 1.0]),))
+        # linspace rounds to repeated centers after a nonzero first spacing
+        fuzzy.grid_over_box([1.0], [1.0 + 4 * 2.0**-52], [8], 1.0)
     with pytest.raises(ValueError, match="positive"):
-        fuzzy.MembershipGrid((np.array([-1.0, 1.0]),), (np.array([1.0, 0.0]),))
+        fuzzy.grid_over_box([-1.0], [1.0], [2], 0.0)
 
 
 # ------------------------------------------------------------------ regressor
@@ -97,7 +99,8 @@ def test_regressor_robust_far_from_grid():
 @given(box_points, st.floats(-5.0, 5.0))
 def test_regressor_translation_consistency(point, shift):
     g = benchmark_grid()
-    shifted = fuzzy.MembershipGrid(tuple(c + shift for c in g.centers), g.widths)
+    shifted = fuzzy.grid_over_box([-math.pi / 6 + shift, -1.0 + shift],
+                                  [math.pi / 6 + shift, 1.0 + shift], [5, 5], 1.0)
     x = np.asarray(point)
     assert np.allclose(g.regressor(x), shifted.regressor(x + shift), atol=1e-12)
 
@@ -107,10 +110,10 @@ def python_regressor(grid, x):
     distances, a shift by their minimum, math.exp and a left-to-right sum;
     then the row-major product over dimensions (1.0 * m is exact)."""
     rules = [1.0]
-    for v, centers, widths in zip(x, grid.centers, grid.widths):
+    for v, centers, width in zip(x, grid.centers, grid.widths):
         sq = []
-        for c, w in zip(centers.tolist(), widths.tolist()):
-            z = (v - c) / w
+        for c in centers:
+            z = (v - c) / width
             sq.append(z * z)
         low = min(sq)
         mu = [math.exp(low - q) for q in sq]
@@ -134,17 +137,16 @@ def test_regressor_bit_identical_to_seeded_loop(counts):
         assert grid.regressor(x).tobytes() == python_regressor(grid, x).tobytes()
 
 
-# ------------------------------------------------------------------- evaluate
+# ------------------------------------------------------------------- estimate
 
 def test_zero_theta_evaluates_to_zero():
-    approx = fuzzy.FuzzyApproximator(benchmark_grid())
+    g = benchmark_grid()
     for x in ([0.0, 0.0], [0.2, -0.5], [1.0, 1.0]):
-        assert approx.evaluate(x) == 0.0
+        assert estimate(g, np.zeros(g.rule_count), x) == 0.0
 
 
 def test_symmetric_two_rule_average():
-    approx = fuzzy.FuzzyApproximator(two_rule_grid(), [3.0, 5.0])
-    assert approx.evaluate([0.0]) == pytest.approx(4.0, abs=1e-12)
+    assert estimate(two_rule_grid(), np.array([3.0, 5.0]), [0.0]) == pytest.approx(4.0, abs=1e-12)
 
 
 @settings(max_examples=100)
@@ -154,11 +156,8 @@ def test_evaluate_linear_in_theta(point):
     rng = np.random.default_rng(0)
     t1 = rng.normal(size=g.rule_count)
     t2 = rng.normal(size=g.rule_count)
-    a = fuzzy.FuzzyApproximator(g, t1)
-    b = fuzzy.FuzzyApproximator(g, t2)
-    both = fuzzy.FuzzyApproximator(g, t1 + t2)
-    assert both.evaluate(point) == pytest.approx(a.evaluate(point) + b.evaluate(point),
-                                                 abs=1e-10)
+    assert estimate(g, t1 + t2, point) == pytest.approx(
+        estimate(g, t1, point) + estimate(g, t2, point), abs=1e-10)
 
 
 @settings(max_examples=100)
@@ -166,8 +165,7 @@ def test_evaluate_linear_in_theta(point):
 def test_evaluate_is_convex_combination(point):
     g = benchmark_grid()
     theta = np.linspace(-2.0, 7.0, g.rule_count)
-    approx = fuzzy.FuzzyApproximator(g, theta)
-    val = approx.evaluate(point)
+    val = estimate(g, theta, point)
     assert theta.min() - 1e-12 <= val <= theta.max() + 1e-12
 
 
@@ -187,10 +185,10 @@ def test_paired_rows_share_one_array():
     assert approx_f.theta.base is theta and approx_g.theta.base is theta
     rng = np.random.default_rng(3)
     theta[:] = rng.normal(size=theta.shape)
-    # evaluate reduces each row exactly as the control loop reduces both
+    # estimate reduces each row exactly as the control loop reduces both
     for x in rng.uniform(-1.0, 1.0, size=(200, 2)).tolist():
         f_hat, g_hat = np.add.reduce(theta * g.regressor(x), axis=1).tolist()
-        assert (f_hat, g_hat) == (approx_f.evaluate(x), approx_g.evaluate(x))
+        assert (f_hat, g_hat) == (estimate(g, approx_f.theta, x), estimate(g, approx_g.theta, x))
 
 
 def test_theta_length_validated():

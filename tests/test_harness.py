@@ -390,6 +390,21 @@ def test_cli_lossy_sensor_golden_trace(tmp_path):
     assert hashlib.sha256(payload).hexdigest() == LOSSY_SHA256
 
 
+# theta files print the grid layout (centers, widths) and the adapted parameters
+THETA_ARGV = ["--preset", "networked", "--seed", "2024", "--duration", "5", "--quiet"]
+THETA_SHA256 = {
+    "theta_f.txt": "7d5f99efb601fc0fbf866de1ef33422a00678ae175a772f18f5c29812bb2974f",
+    "theta_g.txt": "583f6b5b95860e7786e9a58604fd91ec87d1393ce9779e796e051c0820008467",
+}
+
+
+def test_cli_theta_files_golden(tmp_path):
+    out = tmp_path / "run"
+    assert cli.main(THETA_ARGV + ["--out", str(out)]) == 0
+    for name, digest in THETA_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 def child_env(**env):
     """The environment of a child interpreter that imports this checkout's afcsim."""
     src = str(Path(__file__).resolve().parents[1] / "src")
