@@ -59,8 +59,6 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-import numpy as np
-
 from .afhc import ControllerConfig
 from .fuzzy import MembershipGrid, grid_over_box
 from .netchan import ChannelConfig
@@ -116,7 +114,7 @@ class ExperimentConfig:
     ideal_model: bool
     reference: ReferenceConfig
     plant: PendulumParams
-    x0: np.ndarray
+    x0: tuple
     disturbance: DisturbanceConfig
     sensor_channel: ChannelConfig
     actuator_channel: ChannelConfig
@@ -298,9 +296,9 @@ def build_config(sources: list) -> ExperimentConfig:
     _require(abs(values["disturbance.omega"]) * duration < math.inf, "disturbance.omega",
              where["disturbance.omega"], "omega * duration must be finite")
 
-    x0 = np.asarray(values["plant.x0"], dtype=float)
-    _require(x0.size == 2, "plant.x0", where["plant.x0"], "must have exactly 2 entries")
-    _require(bool(np.all(np.isfinite(x0))), "plant.x0", where["plant.x0"],
+    x0 = tuple(values["plant.x0"])
+    _require(len(x0) == 2, "plant.x0", where["plant.x0"], "must have exactly 2 entries")
+    _require(all(map(math.isfinite, x0)), "plant.x0", where["plant.x0"],
              "entries must be finite")
 
     alpha = values["controller.filter_alpha"]
@@ -334,8 +332,7 @@ def build_config(sources: list) -> ExperimentConfig:
              "fuzzy.theta_g_init", where["fuzzy.theta_g_init"],
              "must be in [controller.g_min, sys.float_info.max / 2] (the law divides by g_hat)")
 
-    sensor = _channel_config(values, where, "sensor_channel", dt, seed, 1,
-                             initial_value=tuple(x0.tolist()))
+    sensor = _channel_config(values, where, "sensor_channel", dt, seed, 1, initial_value=x0)
     actuator = _channel_config(values, where, "actuator_channel", dt, seed, 2,
                                initial_value=0.0)
 

@@ -112,7 +112,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
     actuator = netchan.Channel(cfg.actuator_channel)
     rows = np.empty((cfg.n_steps, len(TRACE_COLUMNS)))
 
-    x = tuple(cfg.x0.tolist())
+    x = cfg.x0
     alpha = cfg.controller.filter_alpha
     e_filtered = None
     abort_reason = None

@@ -111,6 +111,8 @@ def test_missing_equals_rejected():
     ("duration = 5\ncontroller.k = 1e-300, 1e-320", r"'controller\.k' \(config line 2\)"),
     ("duration = 5\ncontroller.k = 1e154, 1e-300", r"'controller\.k' \(config line 2\)"),
     ("duration = 5\ncontroller.k = 1, 2, 3", r"'controller\.k' \(config line 2\): k must have"),
+    ("duration = 5\ncontroller.k = 1, -2",
+     r"'controller\.k' \(config line 2\): k must be finite and positive"),
     ("duration = 5\ncontroller.q_diag = 1, 1, 1", r"'controller\.q_diag' \(config line 2\)"),
     ("duration = 5\nactuator_channel.delay = nan", r"'actuator_channel\.delay' \(config line 2\)"),
     ("duration = 5\nsensor_channel.delay = -0.1", r"'sensor_channel\.delay' \(config line 2\)"),

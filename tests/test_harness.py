@@ -472,3 +472,13 @@ def test_run_presets_failed_run_shows_no_stale_metrics(tmp_path):
     assert invalid.stderr.count("error: ") == len(config.PRESETS)
     assert "rmse" not in invalid.stdout
     assert all((tmp_path / preset / "metrics.txt").exists() for preset in config.PRESETS)
+
+
+def test_certificate_demo_prints_three_stable_loops_and_one_unstable():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "certificate_demo.py"
+    proc = subprocess.run([sys.executable, str(script)], env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # the gentle lead fails to stabilize the shaped plant
+    assert proc.stdout.count(" stable  norm=") == 3
+    assert proc.stdout.count("UNSTABLE") == 1
