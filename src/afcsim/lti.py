@@ -179,40 +179,35 @@ def freq_response(ss: StateSpaceModel, omega: float) -> np.ndarray:
 
 
 def is_stable(ss: StateSpaceModel) -> bool:
-    """True iff every eigenvalue of A has a negative real part.
-
-    A zero-state model is stable by convention.
-    """
-    if ss.n_states == 0:
-        return True
-    return float(np.max(np.linalg.eigvals(ss.A).real)) < 0.0
-
-
-def _sigma_max(mat: np.ndarray) -> float:
-    if mat.size == 0:
-        return 0.0
-    return float(np.linalg.svd(mat, compute_uv=False)[0])
+    """True iff every eigenvalue of A has a negative real part; a zero-state model is."""
+    return bool((np.linalg.eigvals(ss.A).real < 0.0).all())
 
 
 def _peak_gain(a, b, c, d, omegas: np.ndarray) -> float:
-    """Largest sigma_max(G(jw)) over omegas (0.0 when there is nothing to take)."""
-    sv = np.linalg.svd(_responses(a, b, c, d, omegas), compute_uv=False)
-    return float(sv[:, :1].max(initial=0.0))
+    """Largest sigma_max(G(jw)) over omegas and over w = inf, where G is D,
+    from one batched SVD. A gain that is not finite raises ValueError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.concatenate([_responses(a, b, c, d, omegas), d[None]])
+    finite = np.isfinite(g).all()
+    peak = float(np.linalg.svd(g, compute_uv=False)[:, :1].max(initial=0.0)) if finite else math.inf
+    if peak == math.inf:
+        raise ValueError("H-infinity norm overflows: a gain of G exceeds the largest float")
+    return peak
 
 
 def _crossings(a, b, c, d, gamma: float) -> np.ndarray:
-    """Sorted frequencies w, of both signs, where a singular value of G(jw) is gamma.
-
-    They are the imaginary parts of the imaginary-axis eigenvalues of the
-    bounded-real Hamiltonian. Valid only for gamma > sigma_max(D).
-    """
-    p, m = d.shape
-    r = gamma * gamma * np.eye(m) - d.T @ d
-    rinv_dt = np.linalg.solve(r, d.T)
-    rinv_bt = np.linalg.solve(r, b.T)
-    arc = a + b @ rinv_dt @ c
-    h = np.block([[arc, b @ rinv_bt],
-                  [-c.T @ (np.eye(p) + d @ rinv_dt) @ c, -arc.T]])
+    """Sorted frequencies w, of both signs, where a singular value of G(jw) is gamma:
+    the imaginary parts of the imaginary-axis eigenvalues of the bounded-real
+    Hamiltonian. Valid only for gamma > sigma_max(D)."""
+    n, p = a.shape[0], d.shape[0]
+    r = gamma * gamma * np.eye(d.shape[1]) - d.T @ d
+    rinv = np.linalg.solve(r, np.concatenate([d.T, b.T], axis=1))
+    rinv_dt_c = rinv[:, :p] @ c
+    h = np.empty((2 * n, 2 * n))
+    h[:n, :n] = a + b @ rinv_dt_c
+    h[:n, n:] = b @ rinv[:, p:]
+    h[n:, :n] = -c.T @ (c + d @ rinv_dt_c)
+    h[n:, n:] = -h[:n, :n].T
     eigs = np.linalg.eigvals(h)
     on_axis = np.abs(eigs.real) < _IMAG_AXIS_RTOL * (np.abs(h).sum(axis=0).max() + np.abs(eigs))
     return np.sort(eigs.imag[on_axis])
@@ -222,42 +217,47 @@ def hinf_norm(ss: StateSpaceModel, tol: float = 1e-8) -> float:
     """Peak gain sup_w sigma_max(G(jw)) of a stable system, to relative tol.
 
     Level-set iteration (Bruinsma & Steinbuch 1990; Boyd, Balakrishnan &
-    Kabamba 1989). The lower bound starts as the largest of sigma_max(D) and
-    the gains at DC, at 1..n rad/s and at the pole frequencies |lambda| and
-    |Im lambda| of A. Each step takes the level gamma = lower * (1 + tol) and
-    the frequencies where a singular value of G(jw) crosses it, which are the
-    imaginary-axis eigenvalues of the bounded-real Hamiltonian. The largest
-    gain at the midpoints of consecutive crossings becomes the new lower
-    bound; the convergence is quadratic. The iteration stops when gamma has
-    no crossing, or when no midpoint gain exceeds gamma (the crossings are
-    then rounding at the peak). The norm lies in [lower, gamma] and the
-    midpoint of that bracket is returned, within tol / 2 of the norm
-    relative to lower. A zero-state model is stable and its norm is
-    sigma_max(D); otherwise an A with an eigenvalue off the open left
-    half-plane raises UnstableSystemError.
+    Kabamba 1989). The lower bound starts as the largest gain at DC, 1..n
+    rad/s, the pole frequencies |lambda| and |Im lambda| of A and w = inf, all
+    from one batched SVD. G is then scaled exactly, by a power of two that puts
+    the bound in [1, 2) and is split to even out B and C, so that no level and
+    no Hamiltonian block overflows. Each level gamma = lower * (1 + tol) is
+    crossed at the imaginary-axis eigenvalues of the bounded-real Hamiltonian;
+    the largest gain at the midpoints of consecutive crossings is the next
+    lower bound (quadratic convergence). With no crossing, or no midpoint gain
+    above gamma (rounding at the peak), the midpoint of [lower, gamma] is
+    returned, within tol / 2 of the norm relative to lower. A gain or a norm
+    that overflows raises ValueError. A zero-state model's norm is
+    sigma_max(D); an A with an eigenvalue off the open left half-plane raises
+    UnstableSystemError.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    if ss.n_states == 0:
-        return _sigma_max(ss.D)
     a, b, c, d = ss.A, ss.B, ss.C, ss.D
     lam = np.linalg.eigvals(a)
-    if not lam.real.max() < 0.0:
+    if not (lam.real < 0.0).all():
         raise UnstableSystemError("norm undefined for unstable system")
     # 0..n rad/s are n + 1 distinct frequencies: a nonzero strictly proper
     # n-state response cannot vanish at all of them, so a zero bound is exact.
-    omegas = np.unique(np.r_[np.arange(ss.n_states + 1.0), np.abs(lam), np.abs(lam.imag)])
-    lower = max(_sigma_max(d), _peak_gain(a, b, c, d, omegas))
-    if lower == 0.0:
-        return 0.0
+    omegas = np.concatenate([np.arange(ss.n_states + 1.0), np.abs(lam), np.abs(lam.imag)])
+    lower = _peak_gain(a, b, c, d, omegas)
+    if lower == 0.0 or ss.n_states == 0:
+        return lower
+    e = math.frexp(lower)[1] - 1
+    kb = (math.frexp(np.abs(c).max())[1] - math.frexp(np.abs(b).max())[1] - e) // 2
+    b, c, d = np.ldexp(b, kb), np.ldexp(c, -e - kb), np.ldexp(d, -e)
+    lower = math.ldexp(lower, -e)
     for _ in range(_MAX_ITERATIONS):
         gamma = lower * (1.0 + tol)
         w = _crossings(a, b, c, d, gamma)
         peak = _peak_gain(a, b, c, d, np.abs(0.5 * (w[1:] + w[:-1]))) if w.size else 0.0
         if peak <= gamma:
-            return 0.5 * (lower + gamma)
+            norm = 0.5 * (lower + gamma) * 2.0 ** e
+            if norm < math.inf:
+                return norm
+            raise ValueError("H-infinity norm overflows the largest float")
         lower = peak
-    raise HinfConvergenceError("level-set iteration did not converge", lower)
+    raise HinfConvergenceError("level-set iteration did not converge", lower * 2.0 ** e)
 
 
 def closed_loop_tzw(ps: StateSpaceModel, k: StateSpaceModel) -> StateSpaceModel:

@@ -254,18 +254,22 @@ def _rotation(t):
     return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
 
 
-def test_hinf_norm_mimo_with_smaller_singular_value_crossing():
-    # G = U diag(g1, g2) V: g1 = 10 s/((s+1.5)(s+3.5)) peaks at 2 and
-    # g2 = 21.9 s/((s+0.5)(s+10.5)) at 1.991, both at sqrt(5.25) rad/s. At the
-    # level g2 reaches at 2 rad/s, which is also hinf_norm's starting lower
-    # bound, g1 crosses it inside the band where g2 is above it, i.e. as the
-    # smaller singular value.
+def _mimo_band_pass():
+    """G = U diag(g1, g2) V with g1 = 10 s/((s+1.5)(s+3.5)), peak 2, and
+    g2 = 21.9 s/((s+0.5)(s+10.5)), peak 1.991, both at sqrt(5.25) rad/s."""
     a1, b1, c1 = _band_pass(10.0, 1.5, 3.5)
     a2, b2, c2 = _band_pass(21.9, 0.5, 10.5)
     za, zb, zc = np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((1, 2))
-    ss = lti.StateSpaceModel(np.block([[a1, za], [za, a2]]),
-                             np.block([[b1, zb], [zb, b2]]) @ _rotation(-0.7),
-                             _rotation(0.3) @ np.block([[c1, zc], [zc, c2]]), np.zeros((2, 2)))
+    return lti.StateSpaceModel(np.block([[a1, za], [za, a2]]),
+                               np.block([[b1, zb], [zb, b2]]) @ _rotation(-0.7),
+                               _rotation(0.3) @ np.block([[c1, zc], [zc, c2]]), np.zeros((2, 2)))
+
+
+def test_hinf_norm_mimo_with_smaller_singular_value_crossing():
+    # At the level g2 reaches at 2 rad/s, which is also hinf_norm's starting
+    # lower bound, g1 crosses it inside the band where g2 is above it, i.e. as
+    # the smaller singular value.
+    ss = _mimo_band_pass()
     gamma = sigma_max(lti.freq_response(ss, 2.0))
     crossings = lti._crossings(ss.A, ss.B, ss.C, ss.D, gamma)
     smaller = [np.linalg.svd(lti.freq_response(ss, w), compute_uv=False)[1]
@@ -298,6 +302,57 @@ def test_hinf_norm_rejects_non_finite_tol():
     for tol in (math.nan, math.inf):
         with pytest.raises(ValueError, match="^tol must be positive and finite"):
             lti.hinf_norm(lag(), tol=tol)
+
+
+def _lag_scaled(bc, d=0.0):
+    # bc^2/(s+1) + d
+    return lti.StateSpaceModel([[-1.0]], [[bc]], [[bc]], [[d]])
+
+
+def test_hinf_norm_near_and_past_overflow():
+    # the norm bc^2 of bc^2/(s+1) is finite for bc = 1e154; the level's square
+    # and the Hamiltonian's B B' overflowed and the norm read inf
+    assert lti.hinf_norm(_lag_scaled(1e154)) == pytest.approx(1e308, rel=1e-8)
+    # B and C of very different sizes: B B' overflowed, a bare LinAlgError
+    unbalanced = lti.StateSpaceModel([[-1.0]], [[1e200]], [[1e-200]], [[0.0]])
+    assert lti.hinf_norm(unbalanced) == pytest.approx(1.0, rel=1e-8)
+    # a norm past the largest float read 0.0 or inf, or raised a bare LinAlgError
+    for ss in (_lag_scaled(1e155), _lag_scaled(1e200, d=1.0),
+               lti.static_gain([[1.5e308, 1.5e308]])):
+        with pytest.raises(ValueError, match="overflows"):
+            lti.hinf_norm(ss)
+
+
+@pytest.mark.parametrize("ss", [lti.static_gain(np.zeros((0, 2))),
+                                lti.static_gain(np.zeros((2, 0))),
+                                lti.StateSpaceModel([[-1.0]], np.zeros((1, 0)), [[1.0]],
+                                                    np.zeros((1, 0))),
+                                lti.StateSpaceModel([[-1.0]], [[1.0]], np.zeros((0, 1)),
+                                                    np.zeros((0, 1)))],
+                         ids=["static-0x2", "static-2x0", "1-state-m0", "1-state-p0"])
+def test_hinf_norm_of_empty_channels_is_zero(ss):
+    assert lti.hinf_norm(ss) == 0.0
+
+
+@pytest.mark.parametrize("ss,calls", [(lag(), {"eigvals": 2, "svd": 1, "solve": 2}),
+                                      (_mimo_band_pass(), {"eigvals": 4, "svd": 3, "solve": 6})],
+                         ids=["lag", "mimo-band-pass"])
+def test_hinf_norm_linalg_calls(monkeypatch, ss, calls):
+    # eigvals: A and each Hamiltonian; solve: each Hamiltonian and each set of
+    # frequencies; svd: each set of frequencies, the first of which also takes
+    # w = inf (the gain D)
+    seen = dict.fromkeys(calls, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            seen[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    lti.hinf_norm(ss)
+    assert seen == calls
 
 
 def test_hinf_norm_reports_bracket_when_iterations_exhausted(monkeypatch):
