@@ -239,12 +239,12 @@ def check_step_multiple(delay: float, dt: float) -> int:
 def _channel_config(values, where, prefix: str, dt: float, master_seed: int,
                     default_seed_offset: int, initial_value) -> ChannelConfig:
     seed = values[f"{prefix}.seed"]
-    keys = None
     if seed is None:
         # a derived seed is reported under the master seed
         seed = master_seed + default_seed_offset
-        keys = {"seed": ("seed",)}
-    with _reported(prefix, where, keys):
+        _require(seed < 2 ** 64, "seed", where["seed"],
+                 f"seed + {default_seed_offset} ({prefix}.seed) must be below 2**64")
+    with _reported(prefix, where):
         delay_steps = check_step_multiple(values[f"{prefix}.delay"], dt)
         return ChannelConfig(delay_steps=delay_steps, drop_prob=values[f"{prefix}.drop_prob"],
                              seed=seed, initial_value=initial_value)

@@ -3,7 +3,9 @@ steps, seeded Bernoulli packet loss, and hold-last-sample compensation on the
 receiving side.
 
 The random generator is numpy's default PCG64 stream seeded per channel, so
-drop sequences are bit-reproducible for a fixed (seed, push sequence).
+drop sequences are bit-reproducible for a fixed (seed, push sequence). A
+lossless channel (drop_prob = 0) builds no generator and draws nothing, so a
+run without loss has no use for numpy.random.
 """
 from __future__ import annotations
 
@@ -20,7 +22,8 @@ __all__ = [
 ]
 
 # Drop flags are drawn this many at a time; a block of uniform draws equals
-# the same number of single draws from the generator, bit for bit.
+# the same number of single draws from the generator, bit for bit. A lossless
+# channel refills its flags with this many Falses.
 DROP_BLOCK = 4096
 
 # Entered in place of a dropped payload, so the line advances once per push.
@@ -46,17 +49,18 @@ class ChannelConfig:
 class Channel:
     """Delay line owned by one simulation loop, pushed once per control step.
 
-    push() draws the Bernoulli drop decision for a payload and enters it, or
-    a lost marker, at the end of the line; output() delivers each entry
-    delay_steps pushes after it entered and returns the latest delivered
-    payload, or the initial value before the first. The line holds only
-    entries not yet delivered, so its memory does not grow with the delay.
-    Payloads are passed through as given.
+    push() takes the next Bernoulli drop decision for a payload and enters
+    it, or a lost marker, at the end of the line; output() delivers each
+    entry delay_steps pushes after it entered and returns the latest
+    delivered payload, or the initial value before the first. The line holds
+    only entries not yet delivered, so its memory does not grow with the
+    delay. Payloads are passed through as given. Only a channel with
+    drop_prob > 0 seeds a generator; a lossless one never drops.
     """
 
     def __init__(self, config: ChannelConfig):
         self.config = config
-        self._rng = np.random.default_rng(int(config.seed))
+        self._rng = np.random.default_rng(int(config.seed)) if config.drop_prob > 0 else None
         self._drops: list = []              # pre-drawn flags, next one last
         self._line: deque = deque()
         self._delay = config.delay_steps
@@ -66,8 +70,11 @@ class Channel:
         """Offer the payload of the current step; returns True when it is
         dropped."""
         if not self._drops:
-            self._drops = (self._rng.random(DROP_BLOCK) < self.config.drop_prob).tolist()
-            self._drops.reverse()
+            if self._rng is None:
+                self._drops = [False] * DROP_BLOCK
+            else:
+                self._drops = (self._rng.random(DROP_BLOCK) < self.config.drop_prob).tolist()
+                self._drops.reverse()
         dropped = self._drops.pop()
         self._line.append(_LOST if dropped else value)
         return dropped

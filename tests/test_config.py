@@ -125,8 +125,10 @@ def test_missing_equals_rejected():
     ("fuzzy.counts = 1, 1\nfuzzy.width_scale = 1e-160",
      r"'fuzzy\.width_scale' \(config line 2\): widths"),
     # a channel seed derived from the master seed is reported under 'seed'
-    ("duration = 5\nseed = 18446744073709551615", r"'seed' \(config line 2\)"),
-    ("duration = 5\nseed = 18446744073709551614", r"'seed' \(config line 2\)"),
+    ("duration = 5\nseed = 18446744073709551615",
+     r"'seed' \(config line 2\): seed \+ 1 \(sensor_channel\.seed\) must be below 2\*\*64"),
+    ("duration = 5\nseed = 18446744073709551614",
+     r"'seed' \(config line 2\): seed \+ 2 \(actuator_channel\.seed\) must be below 2\*\*64"),
     ("duration = 5\ndisturbance.d0 = inf", r"'disturbance\.d0' \(config line 2\)"),
     ("duration = 5\ndisturbance.d0 = nan", r"'disturbance\.d0' \(config line 2\)"),
     ("duration = 5\ndisturbance.omega = nan", r"'disturbance\.omega' \(config line 2\)"),

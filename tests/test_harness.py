@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +258,30 @@ def test_trace_round_trip_within_print_precision(tmp_path):
     assert np.array_equal(data["drop_sensor"].astype(bool), trace.drop_sensor)
 
 
+def test_trace_formatting_memory_is_bounded_by_the_block(tmp_path):
+    # 30,000 rows, the nominal horizon; formatting in blocks keeps the Python
+    # floats and row strings of one block alive, about 0.2 MB at 256 rows
+    t = np.arange(30_000) * 1e-3
+    trace = synthetic_trace(t, np.sin(t) * 0.01, u=np.cos(t))
+    tracemalloc.start()
+    try:
+        harness.write_trace(trace, tmp_path / "trace.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+
+
+def test_trace_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
+    n = 3 * harness.TRACE_BLOCK_ROWS + 17
+    _, trace, _ = run_text(f"duration = {n / 1000}\nactuator_channel.drop_prob = 0.2")
+    assert len(trace) == n and trace.drop_actuator.any()
+    harness.write_trace(trace, tmp_path / "blocks.csv")
+    monkeypatch.setattr(harness, "TRACE_BLOCK_ROWS", n)
+    harness.write_trace(trace, tmp_path / "whole.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
 def test_metrics_from_csv_match_in_memory(tmp_path):
     cfg, trace, metrics = run_text("duration = 3")
     path = tmp_path / "trace.csv"
@@ -390,6 +415,23 @@ def test_cli_lossy_sensor_golden_trace(tmp_path):
     assert hashlib.sha256(payload).hexdigest() == LOSSY_SHA256
 
 
+# SHA-256 of metrics.txt for each preset at --seed 2024, beside criterion 9's
+# trace digests; the trace does not pin how the metrics are taken from it
+GOLDEN_METRICS_SHA256 = {
+    "nominal": "8959f9124a07d7a74f3d7b662803de32b8a099c25c8a1b04f2470cd82e18c4cb",
+    "networked": "c18836f4c31aa22f17d7bf53510be5fb9e24827ea47a6eae5996a5e26204d28f",
+    "stress": "e28decae1b1ea3fd51d4df8ece67c42c34c6409d33e5f60ccca4ae5c3eb5b8af",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(config.PRESETS))
+def test_cli_metrics_file_golden(tmp_path, preset):
+    out = tmp_path / "run"
+    assert cli.main(["--preset", preset, "--out", str(out), "--seed", "2024", "--quiet"]) == 0
+    digest = hashlib.sha256((out / "metrics.txt").read_bytes()).hexdigest()
+    assert digest == GOLDEN_METRICS_SHA256[preset]
+
+
 # theta files print the grid layout (centers, widths) and the adapted parameters
 THETA_ARGV = ["--preset", "networked", "--seed", "2024", "--duration", "5", "--quiet"]
 THETA_SHA256 = {
@@ -444,6 +486,24 @@ def test_import_loads_the_submodules_and_numpy_only():
     assert "afcsim.cli" not in loaded
     top_level = {name.partition(".")[0] for name in loaded}
     assert top_level - set(sys.stdlib_module_names) == {"afcsim", "numpy"}
+
+
+def test_lossless_run_does_not_load_numpy_random(tmp_path):
+    # nominal has no loss, so neither channel builds a generator
+    probe = ("import sys\n"
+             "import numpy\n"
+             "print('numpy.random' in sys.modules)\n"
+             "from afcsim import cli\n"
+             "code = cli.main(['--preset', 'nominal', '--duration', '0.1', '--quiet',\n"
+             "                 '--out', sys.argv[1]])\n"
+             "print(code, 'numpy.random' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "run")],
+                          env=child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    bare, after_run = proc.stdout.splitlines()
+    if bare == "True":
+        pytest.skip("a bare import numpy already loads numpy.random (numpy 1.x)")
+    assert after_run == "0 False"
 
 
 def test_cli_preset_networked(tmp_path):

@@ -23,9 +23,16 @@ def test_config_validation():
 
 
 def test_no_drops_when_probability_zero():
+    # a lossless channel refills its flags without a generator; the pushes
+    # cross two refills and every payload must come through
     ch = make_channel(drop_prob=0.0)
-    samples = [ch.push(float(i)) for i in range(200)]
-    assert not any(samples)
+    values = [float(i) for i in range(2 * netchan.DROP_BLOCK + 200)]
+    flags, outputs = [], []
+    for v in values:
+        flags.append(ch.push(v))
+        outputs.append(ch.output())
+    assert not any(flags)
+    assert outputs == values
 
 
 def test_seeded_drop_sequence_replays_bit_identically():
