@@ -1,63 +1,28 @@
 """Experiment configuration: flat ``key = value`` text with ``#`` comments.
 
-Every key is optional; omitted keys take the defaults below, which together
-form the "nominal" preset. Later assignments of the same key win, which is
-how presets and command-line overrides compose.
+Every key is optional; omitted keys take the defaults in _KEYS, which
+together form the "nominal" preset. Later assignments of the same key win,
+which is how presets and command-line overrides compose. A plant or
+controller default is the one PendulumParams or ControllerConfig declares.
 
-Schema (defaults in parentheses):
-
-    duration (30.0)                 simulation horizon, s
-    dt (0.001)                      integrator step, s
-    seed (12345)                    master seed; channels derive seed+1, seed+2
-    ideal_model (false)             use the true plant f, g in the control law
-                                    and freeze adaptation (diagnostic mode)
-    reference.amplitude (0.10471975511965977 = pi/30)   sine amplitude, rad
-    reference.frequency (1.0)       sine frequency, rad/s
-    plant.cart_mass (1.0)           kg
-    plant.pole_mass (0.1)           kg
-    plant.half_length (0.5)         m
-    plant.gravity (9.8)             m/s^2
-    plant.x0 (0, 0)                 initial state (angle rad, rate rad/s)
-    disturbance.d0 (0.1)            disturbance amplitude
-    disturbance.omega (2.0)         disturbance frequency, rad/s
-    sensor_channel.delay (0.0)      s, a whole number of steps of dt
-    sensor_channel.drop_prob (0.0)  in [0, 1)
-    sensor_channel.seed (seed + 1)
-    actuator_channel.delay (0.0)    s, as sensor_channel.delay
-    actuator_channel.drop_prob (0.0)
-    actuator_channel.seed (seed + 2)
-    controller.k (1, 2)             feedback gains k1, k2, both positive (Hurwitz)
-    controller.q_diag (1, 1)        diagonal of the Lyapunov weight Q
-    controller.r (0.1)              auxiliary-term weight
-    controller.gamma_f (50.0)       adaptation rate for theta_f
-    controller.gamma_g (50.0)       adaptation rate for theta_g
-    controller.g_min (0.1)          floor kept under the g estimate
-    controller.u_max (180.0)        saturation, N
-    controller.filter_alpha (auto)  error filter coefficient in (0, 1];
-                                    auto = 0.2 if any channel delay > 0 else 1.0
-    fuzzy.lo (-pi/6, -1)            grid box lower corner
-    fuzzy.hi (pi/6, 1)              grid box upper corner
-    fuzzy.counts (5, 5)             memberships per dimension; at most
-                                    MAX_RULES rules in all
-    fuzzy.width_scale (1.0)         width = scale * center spacing
-    fuzzy.theta_g_init (1.0)        initial theta_g entries, g_min to max float / 2
-
-build_config also builds what the run derives from these keys: the fuzzy
-MembershipGrid (cfg.fuzzy) and the controller's Lyapunov matrix P
-(cfg.controller.p). The fuzzy.lo/hi/counts/width_scale keys are validated
-by grid_over_box, the controller keys and P by ControllerConfig,
-the plant parameters by PendulumParams; a ValueError from any of them
-becomes a ConfigError naming the key and its line. config
-itself checks only what no constructor owns: list lengths, the step and
-rule budgets, the reference and disturbance bounds, the channel delays as
-whole steps of dt and g_min <= theta_g_init <= sys.float_info.max / 2.
+build_config also derives what no key states: the fuzzy MembershipGrid
+(cfg.fuzzy), the controller's Lyapunov matrix P (cfg.controller.p), an
+unset controller.filter_alpha (0.2 if either channel has a delay, else 1.0)
+and an unset channel seed (seed + 1 for the sensor, seed + 2 for the
+actuator). The fuzzy.lo/hi/counts/width_scale keys are validated by
+grid_over_box, the controller keys and P by ControllerConfig, the plant
+parameters by PendulumParams; a ValueError from any of them becomes a
+ConfigError naming the key and its line. config itself checks only what no
+constructor owns: list lengths, the step and rule budgets, the reference
+and disturbance bounds, the channel delays as whole steps of dt and
+g_min <= theta_g_init <= sys.float_info.max / 2.
 """
 from __future__ import annotations
 
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .afhc import ControllerConfig
 from .fuzzy import MembershipGrid, grid_over_box
@@ -144,40 +109,40 @@ def _parse_int_list(raw: str) -> list:
     return [int(part) for part in raw.split(",")]
 
 
-# key: (parser, default); the defaults form the nominal preset
+# key: (parser, default), with its unit or rule; the defaults form the nominal preset
 _KEYS = {
-    "duration": (float, 30.0),
-    "dt": (float, 0.001),
-    "seed": (int, 12345),
-    "ideal_model": (_parse_bool, False),
-    "reference.amplitude": (float, math.pi / 30.0),
-    "reference.frequency": (float, 1.0),
-    "plant.cart_mass": (float, 1.0),
-    "plant.pole_mass": (float, 0.1),
-    "plant.half_length": (float, 0.5),
-    "plant.gravity": (float, 9.8),
-    "plant.x0": (_parse_float_list, [0.0, 0.0]),
-    "disturbance.d0": (float, 0.1),
-    "disturbance.omega": (float, 2.0),
-    "sensor_channel.delay": (float, 0.0),
-    "sensor_channel.drop_prob": (float, 0.0),
-    "sensor_channel.seed": (int, None),
-    "actuator_channel.delay": (float, 0.0),
-    "actuator_channel.drop_prob": (float, 0.0),
-    "actuator_channel.seed": (int, None),
-    "controller.k": (_parse_float_list, [1.0, 2.0]),
-    "controller.q_diag": (_parse_float_list, [1.0, 1.0]),
-    "controller.r": (float, 0.1),
-    "controller.gamma_f": (float, 50.0),
-    "controller.gamma_g": (float, 50.0),
-    "controller.g_min": (float, 0.1),
-    "controller.u_max": (float, 180.0),
-    "controller.filter_alpha": (float, None),
-    "fuzzy.lo": (_parse_float_list, [-math.pi / 6.0, -1.0]),
-    "fuzzy.hi": (_parse_float_list, [math.pi / 6.0, 1.0]),
-    "fuzzy.counts": (_parse_int_list, [5, 5]),
-    "fuzzy.width_scale": (float, 1.0),
-    "fuzzy.theta_g_init": (float, 1.0),
+    "duration": (float, 30.0),                                          # horizon, s
+    "dt": (float, 0.001),                                               # integrator step, s
+    "seed": (int, 12345),                                               # master seed
+    "ideal_model": (_parse_bool, False),                                # true f, g; no adaptation
+    "reference.amplitude": (float, math.pi / 30.0),                     # sine amplitude, rad
+    "reference.frequency": (float, 1.0),                                # rad/s
+    "plant.cart_mass": (float, PendulumParams.cart_mass),               # kg
+    "plant.pole_mass": (float, PendulumParams.pole_mass),               # kg
+    "plant.half_length": (float, PendulumParams.half_length),           # m
+    "plant.gravity": (float, PendulumParams.gravity),                   # m/s^2
+    "plant.x0": (_parse_float_list, [0.0, 0.0]),                        # angle rad, rate rad/s
+    "disturbance.d0": (float, 0.1),                                     # d(t) = d0 sin(omega t)
+    "disturbance.omega": (float, 2.0),                                  # rad/s
+    "sensor_channel.delay": (float, 0.0),                               # s, whole steps of dt
+    "sensor_channel.drop_prob": (float, 0.0),                           # in [0, 1)
+    "sensor_channel.seed": (int, None),                                 # None: seed + 1
+    "actuator_channel.delay": (float, 0.0),                             # as sensor_channel.delay
+    "actuator_channel.drop_prob": (float, 0.0),                         # in [0, 1)
+    "actuator_channel.seed": (int, None),                               # None: seed + 2
+    "controller.k": (_parse_float_list, ControllerConfig.k),            # k1, k2 > 0 (Hurwitz)
+    "controller.q_diag": (_parse_float_list, ControllerConfig.q_diag),  # diagonal of Q
+    "controller.r": (float, ControllerConfig.r),                        # auxiliary-term weight
+    "controller.gamma_f": (float, ControllerConfig.gamma_f),            # theta_f adaptation rate
+    "controller.gamma_g": (float, ControllerConfig.gamma_g),            # theta_g adaptation rate
+    "controller.g_min": (float, ControllerConfig.g_min),                # floor under g_hat
+    "controller.u_max": (float, ControllerConfig.u_max),                # saturation, N
+    "controller.filter_alpha": (float, None),                           # in (0, 1]; None: auto
+    "fuzzy.lo": (_parse_float_list, [-math.pi / 6.0, -1.0]),            # grid box lower corner
+    "fuzzy.hi": (_parse_float_list, [math.pi / 6.0, 1.0]),              # grid box upper corner
+    "fuzzy.counts": (_parse_int_list, [5, 5]),                          # memberships per dimension
+    "fuzzy.width_scale": (float, 1.0),                                  # width / center spacing
+    "fuzzy.theta_g_init": (float, 1.0),                                 # g_min to max float / 2
 }
 
 
@@ -236,6 +201,13 @@ def check_step_multiple(delay: float, dt: float) -> int:
     return k
 
 
+def _record(cls, prefix: str, values: dict, **resolved):
+    """cls with each init field read from the key prefix.field, the rule _reported
+    names keys by; resolved gives the fields build_config derives instead."""
+    named = {f.name: values[f"{prefix}.{f.name}"] for f in fields(cls) if f.init}
+    return cls(**(named | resolved))
+
+
 def _channel_config(values, where, prefix: str, dt: float, master_seed: int,
                     default_seed_offset: int, initial_value) -> ChannelConfig:
     seed = values[f"{prefix}.seed"]
@@ -276,24 +248,23 @@ def build_config(sources: list) -> ExperimentConfig:
     seed = values["seed"]
     _require(0 <= seed < 2 ** 64, "seed", where["seed"],
              "must be a 64-bit unsigned integer")
-    amplitude, frequency = values["reference.amplitude"], values["reference.frequency"]
-    for key, value in (("reference.amplitude", amplitude), ("reference.frequency", frequency)):
-        _require(0 <= value < math.inf, key, where[key], "must be finite and nonnegative")
+    reference = _record(ReferenceConfig, "reference", values)
+    for key in ("reference.amplitude", "reference.frequency"):
+        _require(0 <= values[key] < math.inf, key, where[key], "must be finite and nonnegative")
     # harness.reference_derivatives computes amplitude * frequency ** 2; the product
     # is inf, or NaN for amplitude 0, once frequency ** 2 alone overflows
-    _require(amplitude * (frequency * frequency) < math.inf, "reference.frequency",
-             where["reference.frequency"], "amplitude * frequency ** 2 overflows")
+    _require(reference.amplitude * (reference.frequency * reference.frequency) < math.inf,
+             "reference.frequency", where["reference.frequency"],
+             "amplitude * frequency ** 2 overflows")
 
     with _reported("plant", where):
-        params = PendulumParams(cart_mass=values["plant.cart_mass"],
-                                pole_mass=values["plant.pole_mass"],
-                                half_length=values["plant.half_length"],
-                                gravity=values["plant.gravity"])
+        params = _record(PendulumParams, "plant", values)
 
-    _require(math.isfinite(values["disturbance.d0"]), "disturbance.d0",
-             where["disturbance.d0"], "must be finite")
+    disturbance = _record(DisturbanceConfig, "disturbance", values)
+    _require(math.isfinite(disturbance.d0), "disturbance.d0", where["disturbance.d0"],
+             "must be finite")
     # the plant evaluates sin(omega * t) for t up to duration
-    _require(abs(values["disturbance.omega"]) * duration < math.inf, "disturbance.omega",
+    _require(abs(disturbance.omega) * duration < math.inf, "disturbance.omega",
              where["disturbance.omega"], "omega * duration must be finite")
 
     x0 = tuple(values["plant.x0"])
@@ -307,14 +278,7 @@ def build_config(sources: list) -> ExperimentConfig:
         alpha = 0.2 if any_delay else 1.0
     # P is derived from both k and q_diag
     with _reported("controller", where, {"p": ("controller.k", "controller.q_diag")}):
-        controller = ControllerConfig(k=values["controller.k"],
-                                      q_diag=values["controller.q_diag"],
-                                      r=values["controller.r"],
-                                      gamma_f=values["controller.gamma_f"],
-                                      gamma_g=values["controller.gamma_g"],
-                                      g_min=values["controller.g_min"],
-                                      u_max=values["controller.u_max"],
-                                      filter_alpha=alpha)
+        controller = _record(ControllerConfig, "controller", values, filter_alpha=alpha)
 
     for key in ("fuzzy.lo", "fuzzy.hi", "fuzzy.counts"):
         _require(len(values[key]) == 2, key, where[key],
@@ -341,12 +305,10 @@ def build_config(sources: list) -> ExperimentConfig:
         dt=dt,
         seed=seed,
         ideal_model=values["ideal_model"],
-        reference=ReferenceConfig(amplitude=values["reference.amplitude"],
-                                  frequency=values["reference.frequency"]),
+        reference=reference,
         plant=params,
         x0=x0,
-        disturbance=DisturbanceConfig(d0=values["disturbance.d0"],
-                                      omega=values["disturbance.omega"]),
+        disturbance=disturbance,
         sensor_channel=sensor,
         actuator_channel=actuator,
         controller=controller,

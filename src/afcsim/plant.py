@@ -17,7 +17,6 @@ __all__ = [
     "DynamicsOverflowError",
     "PendulumParams",
     "PlantModel",
-    "pendulum_f",
     "pendulum_g",
     "pendulum",
     "rk4_step",
@@ -55,11 +54,6 @@ class PlantModel:
     fg: Callable[[tuple], tuple]
     d: Callable[[float], float]
     step: Callable[[tuple, float, float, float], tuple] | None = None
-
-
-def pendulum_f(params: PendulumParams, x) -> float:
-    """Drift acceleration of the pole angle for the cart-pole benchmark."""
-    return pendulum(params).fg(x)[0]
 
 
 def pendulum_g(params: PendulumParams, x) -> float:

@@ -1,7 +1,13 @@
-"""Shared test helpers: random system generation and independent oracles."""
+"""Shared test helpers: random system generation and independent oracles,
+and the Hypothesis profile every property test runs under."""
 import numpy as np
+from hypothesis import settings
 
 from afcsim import lti
+
+# property tests draw the same examples on every run and keep no database
+settings.register_profile("seeded", derandomize=True, database=None)
+settings.load_profile("seeded")
 
 
 def sigma_max(mat):

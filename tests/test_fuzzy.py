@@ -49,6 +49,8 @@ def test_invalid_box_rejected():
         fuzzy.grid_over_box([-1.0], [1.0], [0], 1.0)
     with pytest.raises(ValueError):
         fuzzy.grid_over_box([-1.0], [1.0], [3], 0.0)
+    with pytest.raises(ValueError, match="one entry per count"):
+        fuzzy.grid_over_box([0.0, 0.0], [1.0, 1.0], [3], 1.0)
 
 
 def test_grid_invariants_enforced():

@@ -333,9 +333,31 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert "controller.zeta" in capsys.readouterr().err
 
 
+def test_cli_ideal_model_flag_words(tmp_path, capsys):
+    for word in ("off", "no"):
+        assert config.parse_config(f"ideal_model = {word}").ideal_model is False
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("duration = 1\nideal_model = maybe\n")
+    code = cli.main(["--config", str(cfg_file), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg_file} line 2: malformed value for 'ideal_model': "
+        "expected a boolean, got 'maybe'\n")
+
+
 def test_cli_missing_config_file_is_an_error(tmp_path):
     code = cli.main(["--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o")])
     assert code == 1
+
+
+def test_cli_unwritable_trace_is_an_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    (out / "trace.csv").mkdir(parents=True)
+    code = cli.main(["--out", str(out), "--duration", "0.01", "--quiet"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out / "trace.csv") in err
+    assert "Traceback" not in err
 
 
 def test_cli_divergence_exit_code(tmp_path):

@@ -23,6 +23,10 @@ def test_dimensions_must_be_consistent():
         lti.StateSpaceModel(np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((1, 3)), [[0.0]])
     with pytest.raises(ValueError):
         lti.StateSpaceModel(np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((1, 2)), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="B must be a 2-D matrix"):
+        lti.StateSpaceModel([[-1.0]], [1.0], [[1.0]], [[0.0]])
+    with pytest.raises(ValueError, match="C must be a 2-D matrix"):
+        lti.StateSpaceModel([[-1.0]], [[1.0]], [1.0], [[0.0]])
 
 
 def test_static_gain_has_zero_states():
@@ -316,9 +320,11 @@ def test_hinf_norm_near_and_past_overflow():
     # B and C of very different sizes: B B' overflowed, a bare LinAlgError
     unbalanced = lti.StateSpaceModel([[-1.0]], [[1e200]], [[1e-200]], [[0.0]])
     assert lti.hinf_norm(unbalanced) == pytest.approx(1.0, rel=1e-8)
-    # a norm past the largest float read 0.0 or inf, or raised a bare LinAlgError
+    # a norm past the largest float read 0.0 or inf, or raised a bare LinAlgError;
+    # bc^2 just below it leaves every gain finite, and the returned midpoint overflows
     for ss in (_lag_scaled(1e155), _lag_scaled(1e200, d=1.0),
-               lti.static_gain([[1.5e308, 1.5e308]])):
+               lti.static_gain([[1.5e308, 1.5e308]]),
+               _lag_scaled(1.3407807929942596e154 * (1 - 1e-10))):
         with pytest.raises(ValueError, match="overflows"):
             lti.hinf_norm(ss)
 
@@ -394,6 +400,12 @@ def test_closed_loop_response_matches_defining_formula():
             want = np.vstack([inv, gk @ inv])
             got = lti.freq_response(tzw, w)
             assert np.max(np.abs(got - want)) < 1e-9 * (1.0 + np.max(np.abs(want)))
+
+
+def test_closed_loop_dimension_mismatch_rejected():
+    two_by_one = lti.static_gain([[1.0], [2.0]])
+    with pytest.raises(ValueError, match="plant 2x1 against controller 2x1"):
+        lti.closed_loop_tzw(two_by_one, two_by_one)
 
 
 def test_closed_loop_ill_posed_rejected():

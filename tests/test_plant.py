@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from afcsim import plant
 
 DEFAULTS = plant.PendulumParams()
+NOMINAL = plant.pendulum(DEFAULTS)
 
 angles = st.floats(min_value=-math.pi / 2 + 0.01, max_value=math.pi / 2 - 0.01)
 rates = st.floats(min_value=-3.0, max_value=3.0)
@@ -18,20 +19,20 @@ def test_params_must_be_positive():
             plant.PendulumParams(**{field: 0.0})
 
 
-# ----------------------------------------------------------------- pendulum_f
+# -------------------------------------------------------------------- drift f
 
 def test_pendulum_f_zero_at_origin():
-    assert plant.pendulum_f(DEFAULTS, [0.0, 0.0]) == 0.0
+    assert NOMINAL.fg([0.0, 0.0])[0] == 0.0
 
 
 def test_pendulum_f_hand_value_at_pi_sixth():
-    assert plant.pendulum_f(DEFAULTS, [math.pi / 6, 0.0]) == pytest.approx(7.7461, abs=1e-3)
+    assert NOMINAL.fg([math.pi / 6, 0.0])[0] == pytest.approx(7.7461, abs=1e-3)
 
 
 @given(angles, rates)
 def test_pendulum_f_odd_symmetry(x1, x2):
-    f = plant.pendulum_f(DEFAULTS, [x1, x2])
-    assert plant.pendulum_f(DEFAULTS, [-x1, -x2]) == pytest.approx(-f, abs=1e-12)
+    f = NOMINAL.fg([x1, x2])[0]
+    assert NOMINAL.fg([-x1, -x2])[0] == pytest.approx(-f, abs=1e-12)
 
 
 # ----------------------------------------------------------------- pendulum_g
@@ -57,9 +58,9 @@ def test_pendulum_f_g_slopes_bounded_on_dense_grid():
     h = 1e-6
     xs = np.linspace(-math.pi / 2, math.pi / 2 - h, 1500)
     for x2 in (0.0, 1.0):
-        for fn in (plant.pendulum_f, plant.pendulum_g):
-            vals = np.array([fn(DEFAULTS, [x, x2]) for x in xs])
-            vals_h = np.array([fn(DEFAULTS, [x + h, x2]) for x in xs])
+        for i in (0, 1):    # f, then g
+            vals = np.array([NOMINAL.fg([x, x2])[i] for x in xs])
+            vals_h = np.array([NOMINAL.fg([x + h, x2])[i] for x in xs])
             assert np.max(np.abs(vals_h - vals) / h) < 100.0
 
 
@@ -74,7 +75,7 @@ def test_feedback_linearization_identity():
         v = rng.uniform(-5.0, 5.0)
         t = rng.uniform(0.0, 10.0)
         f, g = pend.fg(x)
-        assert (f, g) == (plant.pendulum_f(DEFAULTS, x), plant.pendulum_g(DEFAULTS, x))
+        assert (f, g) == (NOMINAL.fg(x)[0], plant.pendulum_g(DEFAULTS, x))
         u = (-f + v) / g
         assert f + g * u == pytest.approx(v, abs=1e-12)
         out = plant.rk4_step(pend, x, u, t, h)
