@@ -56,13 +56,6 @@ class HinfConvergenceError(RuntimeError):
         self.lower = lower
 
 
-def _matrix(value, name: str) -> np.ndarray:
-    arr = np.atleast_2d(np.asarray(value, dtype=float))
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be a 2-D matrix, got ndim={arr.ndim}")
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class StateSpaceModel:
     """Realization dx/dt = A x + B u, y = C x + D u.
@@ -76,28 +69,22 @@ class StateSpaceModel:
     D: np.ndarray
 
     def __post_init__(self):
-        a = _matrix(self.A, "A") if np.size(self.A) else np.asarray(self.A, float).reshape(0, 0)
-        n = a.shape[0]
-        if a.shape != (n, n):
-            raise ValueError(f"A must be square, got shape {a.shape}")
-        b = np.asarray(self.B, dtype=float)
-        c = np.asarray(self.C, dtype=float)
-        d = _matrix(self.D, "D")
-        if b.ndim != 2:
-            raise ValueError(f"B must be a 2-D matrix, got ndim={b.ndim}")
-        if c.ndim != 2:
-            raise ValueError(f"C must be a 2-D matrix, got ndim={c.ndim}")
-        p, m = d.shape
-        if b.shape != (n, m):
-            raise ValueError(f"B must be {n}x{m} to match A and D, got {b.shape}")
-        if c.shape != (p, n):
-            raise ValueError(f"C must be {p}x{n} to match A and D, got {c.shape}")
-        for name, arr in (("A", a), ("B", b), ("C", c), ("D", d)):
-            if arr.size and not np.all(np.isfinite(arr)):
+        for name in ("A", "B", "C", "D"):
+            arr = np.array(getattr(self, name), dtype=float)
+            if arr.ndim != 2:
+                raise ValueError(f"{name} must be a 2-D matrix, got ndim={arr.ndim}")
+            if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
-            arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        n = self.A.shape[0]
+        p, m = self.D.shape
+        if self.A.shape != (n, n):
+            raise ValueError(f"A must be square, got shape {self.A.shape}")
+        if self.B.shape != (n, m):
+            raise ValueError(f"B must be {n}x{m} to match A and D, got {self.B.shape}")
+        if self.C.shape != (p, n):
+            raise ValueError(f"C must be {p}x{n} to match A and D, got {self.C.shape}")
 
     @property
     def n_states(self) -> int:
@@ -118,7 +105,7 @@ class StateSpaceModel:
 
 def static_gain(d) -> StateSpaceModel:
     """Zero-state model realizing the constant gain matrix d."""
-    d = _matrix(d, "D")
+    d = np.asarray(d, dtype=float)
     p, m = d.shape
     return StateSpaceModel(np.zeros((0, 0)), np.zeros((0, m)), np.zeros((p, 0)), d)
 
