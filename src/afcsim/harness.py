@@ -5,13 +5,14 @@ Per-step loop order: sense (through the sensor channel) -> build the
 reference and error vector -> filter the error -> evaluate the fuzzy
 estimates -> control law -> push the command through the actuator channel
 -> integrate the plant with the delivered input -> adapt. Each step is
-recorded as one row of a single float array, in TRACE_COLUMNS order. Runs are
-fully deterministic for a fixed configuration, including the channel seeds.
+recorded as one row of a single float array, in TRACE_HEADER's column order;
+that array is the trace. Runs are fully deterministic for a fixed
+configuration, including the channel seeds.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +31,8 @@ __all__ = [
 ]
 
 TRACE_HEADER = "t,x1,x2,xd,e,e_filt,u,u_applied,f_hat,g_hat,V,drop_sensor,drop_actuator"
+# the header's names as SimulationTrace attributes: V is trace.v
+TRACE_COLUMNS = tuple(TRACE_HEADER.lower().split(","))
 
 # Fraction of the horizon treated as steady state for the error metric.
 STEADY_STATE_FRACTION = 0.2
@@ -41,37 +44,26 @@ TRACE_BLOCK_ROWS = 256
 class SimulationTrace:
     """Per-step record of one run, plus the final adapted parameters.
 
-    All columns share the same length; t is uniformly spaced by dt. From
-    run_experiment, the float columns are views of its one row-per-step array
-    and the drop columns are bool copies. When a run aborts (non-finite
-    dynamics, a singular or a non-finite control), the columns end at the
-    failing step and abort_reason says why.
+    rows holds one float row per step, in TRACE_HEADER's column order; t is
+    uniformly spaced by dt and the drop flags read 0.0 or 1.0. trace.<name>
+    is the column of rows for each name in TRACE_COLUMNS, as a view. When a
+    run aborts (non-finite dynamics, a singular or a non-finite control), the
+    rows end at the failing step and abort_reason says why.
     """
 
-    t: np.ndarray
-    x1: np.ndarray
-    x2: np.ndarray
-    xd: np.ndarray
-    e: np.ndarray
-    e_filt: np.ndarray
-    u: np.ndarray
-    u_applied: np.ndarray
-    f_hat: np.ndarray
-    g_hat: np.ndarray
-    v: np.ndarray
-    drop_sensor: np.ndarray
-    drop_actuator: np.ndarray
+    rows: np.ndarray
     abort_reason: str | None = None
     theta_f: np.ndarray | None = None
     theta_g: np.ndarray | None = None
     grid: fuzzy.MembershipGrid | None = None
 
+    def __getattr__(self, name: str) -> np.ndarray:
+        if name not in TRACE_COLUMNS:
+            raise AttributeError(f"'SimulationTrace' object has no attribute {name!r}")
+        return self.rows[:, TRACE_COLUMNS.index(name)]
+
     def __len__(self) -> int:
-        return self.t.size
-
-
-# The per-step columns are the fields without a default, in TRACE_HEADER's order.
-TRACE_COLUMNS = tuple(f.name for f in fields(SimulationTrace) if f.default is MISSING)
+        return len(self.rows)
 
 
 @dataclass(frozen=True)
@@ -154,10 +146,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
 
     if steps_done == 0:
         raise RuntimeError(f"run aborted before completing one step: {abort_reason}")
-    *values, drop_sensor, drop_actuator = rows[:steps_done].T
     theta_f, theta_g = theta.copy()
-    trace = SimulationTrace(*values, drop_sensor.astype(bool), drop_actuator.astype(bool),
-                            abort_reason, theta_f, theta_g, grid)
+    trace = SimulationTrace(rows[:steps_done], abort_reason, theta_f, theta_g, grid)
     return trace, compute_metrics(trace, cfg)
 
 
@@ -190,7 +180,7 @@ def compute_metrics(trace: SimulationTrace, cfg: ExperimentConfig) -> Metrics:
 
 
 def write_trace(trace: SimulationTrace, path) -> None:
-    """Write the trace as CSV with a fixed header and 0/1 drop flags.
+    """Write trace.rows as CSV under TRACE_HEADER, with 0/1 drop flags.
 
     Values are formatted in scientific notation with 10 significant digits.
     Rows are formatted and written in blocks of TRACE_BLOCK_ROWS, so the
@@ -198,15 +188,14 @@ def write_trace(trace: SimulationTrace, path) -> None:
     (about 0.2 MB), not by the trace length; the bytes do not depend on the
     block size.
     """
-    columns = [getattr(trace, name) for name in TRACE_COLUMNS]
     row = ",".join(["%d" if name.startswith("drop_") else "%.9e"
                     for name in TRACE_COLUMNS]) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(TRACE_HEADER + "\n")
             for start in range(0, len(trace), TRACE_BLOCK_ROWS):
-                block = [c[start:start + TRACE_BLOCK_ROWS].tolist() for c in columns]
-                fh.write("".join([row % values for values in zip(*block)]))
+                block = trace.rows[start:start + TRACE_BLOCK_ROWS].tolist()
+                fh.write("".join([row % tuple(values) for values in block]))
     except OSError as exc:
         raise OSError(f"failed to write trace to {path}: {exc}") from exc
 

@@ -134,6 +134,8 @@ def test_missing_equals_rejected():
     ("duration = 5\ndisturbance.omega = nan", r"'disturbance\.omega' \(config line 2\)"),
     ("duration = 20\ndisturbance.omega = 1e307", r"'disturbance\.omega' \(config line 2\)"),
     ("duration = 5\nplant.gravity = inf", r"'plant\.gravity' \(config line 2\)"),
+    ("plant.pole_mass = 1e300\nplant.half_length = 5e-324",
+     r"'plant\.half_length' \(config line 2\): half_length is too small"),
     ("duration = 5\ncontroller.gamma_f = inf", r"'controller\.gamma_f' \(config line 2\)"),
     ("duration = 5\ncontroller.gamma_g = inf", r"'controller\.gamma_g' \(config line 2\)"),
     ("duration = 5\ncontroller.g_min = inf", r"'controller\.g_min' \(config line 2\)"),

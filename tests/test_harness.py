@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import json
 import math
 import os
 import subprocess
@@ -24,21 +25,25 @@ def synthetic_trace(t, e, u=None, abort_reason=None):
     e = np.asarray(e, dtype=float)
     z = np.zeros_like(t)
     u = z if u is None else np.asarray(u, dtype=float)
-    return harness.SimulationTrace(
-        t=t, x1=-e, x2=z, xd=z, e=e, e_filt=e, u=u, u_applied=u,
-        f_hat=z, g_hat=z + 1.0, v=z, drop_sensor=np.zeros(t.size, dtype=bool),
-        drop_actuator=np.zeros(t.size, dtype=bool), abort_reason=abort_reason)
+    columns = dict.fromkeys(harness.TRACE_COLUMNS, z) | dict(
+        t=t, x1=-e, e=e, e_filt=e, u=u, u_applied=u, g_hat=z + 1.0)
+    rows = np.stack([columns[name] for name in harness.TRACE_COLUMNS], axis=1)
+    return harness.SimulationTrace(rows, abort_reason=abort_reason)
 
 
 # -------------------------------------------------------------- run_experiment
 
 def test_trace_float_columns_are_views_of_one_row_per_step_array():
-    _, trace, _ = run_text("duration = 0.05")
-    floats = [getattr(trace, name) for name in harness.TRACE_COLUMNS[:-2]]
-    buffer = trace.t.base
-    assert buffer.shape == (len(trace), len(harness.TRACE_COLUMNS))
-    assert all(col.base is buffer for col in floats)
-    assert trace.drop_sensor.dtype == bool and trace.drop_actuator.dtype == bool
+    _, trace, _ = run_text("duration = 0.05\nactuator_channel.drop_prob = 0.2")
+    assert trace.rows.shape == (len(trace), len(harness.TRACE_COLUMNS)) == (50, 13)
+    for i, name in enumerate(harness.TRACE_COLUMNS):
+        column = getattr(trace, name)
+        assert column.base is trace.rows.base
+        assert np.array_equal(column, trace.rows[:, i])
+    # the drop flags are the rows' floats, as trace.csv prints them
+    assert set(trace.drop_actuator.tolist()) == {0.0, 1.0}
+    with pytest.raises(AttributeError):
+        trace.V
 
 
 def test_equilibrium_regulation_stays_exactly_at_zero():
@@ -360,6 +365,10 @@ def test_cli_divergence_exit_code(tmp_path):
     code = cli.main(["--config", str(cfg_file), "--out", str(out), "--quiet"])
     assert code == 2
     assert "diverged = true" in (out / "metrics.txt").read_text()
+    # the CSV stops where the run stopped: 2 of the 1000 configured steps
+    rows = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert rows.shape == (2, len(harness.TRACE_COLUMNS))
+    assert rows[-1, 0] == 1e-3
 
 
 def test_cli_non_finite_control_aborts_before_it_is_recorded(tmp_path, capsys):
@@ -574,3 +583,31 @@ def test_plot_trace_saves_a_figure_or_asks_for_matplotlib(tmp_path):
     else:
         assert proc.returncode == 0, proc.stderr
         assert png.stat().st_size > 0
+
+
+TRACED_RUN = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import tracer, workloads
+from afcsim import cli
+spans = tracer.Tracer()
+spans.install()
+code = cli.main(["--preset", "networked", "--seed", "2024", "--duration", "0.05",
+                 "--out", sys.argv[2], "--quiet"])
+workloads.build("hinf", workloads.draw("hinf", 0, quick=True))
+print(json.dumps([code, tracer.layer_metrics(spans.summary(), spans.counts, 1)]))
+"""
+
+
+def test_traced_benchmark_reaches_every_layer(tmp_path):
+    # bench/tracer.py wraps afcsim functions by name, for the rest of its
+    # process; a renamed layer would read absent in the benchmark
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    proc = subprocess.run([sys.executable, "-c", TRACED_RUN, str(bench), str(tmp_path)],
+                          env=child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, metrics = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    for name in ("plant.rk4_step.self_us", "fuzzy.regressor.self_us", "afhc.adapt_step.self_us",
+                 "afhc.control_law.self_us", "netchan.push.self_us", "harness.write_trace.s"):
+        assert metrics[name] is not None, name

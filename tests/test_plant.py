@@ -17,6 +17,9 @@ def test_params_must_be_positive():
     for field in ("cart_mass", "pole_mass", "half_length", "gravity"):
         with pytest.raises(ValueError, match=field):
             plant.PendulumParams(**{field: 0.0})
+    # positive, yet fg's denominator half_length * (4/3 - pole_mass / total) rounds to 0
+    with pytest.raises(ValueError, match="^half_length"):
+        plant.PendulumParams(pole_mass=1e300, half_length=5e-324)
 
 
 # -------------------------------------------------------------------- drift f
