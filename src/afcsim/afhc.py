@@ -14,7 +14,7 @@ E = (e, e'):
   saturated to [-u_max, u_max], with B = (0, 1)^T,
 * gradient adaptation of the fuzzy consequents driven by s = E^T P B:
       dtheta_f/dt = -gamma_f * s * xi(x)
-      dtheta_g/dt = -gamma_g * s * xi(x) * u
+      dtheta_g/dt = -gamma_g * s * xi(x) * u   (u commanded, not applied)
   discretized by one explicit Euler step per control period, followed by a
   componentwise projection keeping every theta_g entry at or above g_min so
   that the g estimate stays bounded away from zero.
@@ -166,7 +166,7 @@ def adapt_step(approx_f: FuzzyApproximator, approx_g: FuzzyApproximator,
     """One explicit-Euler step of the gradient adaptation laws, in place.
 
     Updates theta_f and theta_g from the adaptation signal s = E^T P B and
-    the applied control u, then projects theta_g onto [g_min, inf). The
+    the commanded control u, then projects theta_g onto [g_min, inf). The
     thetas of the two approximators must be the rows of one (2, R) array
     (unchecked), so one update writes both. Returns (theta_f, theta_g).
     """

@@ -89,8 +89,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
 
     The state travels to the controller as one sensor packet per step, so a
     drop stalls the whole measurement. In ideal_model mode the control law
-    uses the true plant f and g and adaptation is frozen (diagnostic
-    configuration for checking the Lyapunov decrement).
+    uses the true plant f and g, with no regressor and frozen adaptation
+    (diagnostic configuration for checking the Lyapunov decrement).
     """
     dyn = plant.pendulum(cfg.plant, d0=cfg.disturbance.d0, omega_d=cfg.disturbance.omega)
     grid = cfg.fuzzy
@@ -122,10 +122,10 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
             e_filtered, e_raw, alpha)
         e0, e1 = e_filtered
 
-        xi = grid.regressor(x_meas)
         if cfg.ideal_model:
             f_hat, g_hat = dyn.fg(x_meas)
         else:
+            xi = grid.regressor(x_meas)
             f_hat, g_hat = np.add.reduce(theta * xi, axis=1).tolist()
 
         try:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from afcsim import cli, config, harness
+from afcsim import cli, config, fuzzy, harness
 
 
 def run_text(text=""):
@@ -160,6 +160,22 @@ def test_singular_control_truncates_run():
 def test_abort_on_first_step_raises():
     with pytest.raises(RuntimeError, match="before completing one step"):
         run_text("ideal_model = true\nplant.x0 = 1.58, 0\ndisturbance.d0 = 0\nduration = 1")
+
+
+@pytest.mark.parametrize("ideal, calls_per_step", [("true", 0), ("false", 1)])
+def test_regressor_is_evaluated_only_when_the_law_uses_it(monkeypatch, ideal, calls_per_step):
+    # ideal_model mode takes f and g from the plant, so it needs no regressor
+    calls = []
+    regressor = fuzzy.MembershipGrid.regressor
+
+    def counted(grid, x):
+        calls.append(x)
+        return regressor(grid, x)
+
+    monkeypatch.setattr(fuzzy.MembershipGrid, "regressor", counted)
+    _, trace, _ = run_text(f"ideal_model = {ideal}\nduration = 0.05")
+    assert len(trace) == 50
+    assert len(calls) == calls_per_step * len(trace)
 
 
 def test_saturation_limit_respected():
@@ -392,7 +408,7 @@ def test_cli_overflowing_stage_state_diverges(tmp_path, capsys):
     out = tmp_path / "run"
     code = cli.main(["--config", str(cfg_file), "--duration", "0.002", "--out", str(out)])
     assert code == 2
-    assert "abort_reason = dynamics overflow: non-finite stage state" in capsys.readouterr().out
+    assert "abort_reason = dynamics overflow: non-finite state" in capsys.readouterr().out
     assert "diverged = true" in (out / "metrics.txt").read_text()
 
 
