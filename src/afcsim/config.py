@@ -8,14 +8,15 @@ controller default is the one PendulumParams or ControllerConfig declares.
 build_config also derives what no key states: the fuzzy MembershipGrid
 (cfg.fuzzy), the controller's Lyapunov matrix P (cfg.controller.p), an
 unset controller.filter_alpha (0.2 if either channel has a delay, else 1.0)
-and an unset channel seed (seed + 1 for the sensor, seed + 2 for the
-actuator). The fuzzy.lo/hi/counts/width_scale keys are validated by
-grid_over_box, the controller keys and P by ControllerConfig, the plant
-parameters by PendulumParams; a ValueError from any of them becomes a
-ConfigError naming the key and its line. config itself checks only what no
-constructor owns: list lengths, the step and rule budgets, the reference
-and disturbance bounds, the channel delays as whole steps of dt and
-g_min <= theta_g_init <= sys.float_info.max / 2.
+and the channel seeds (seed + 1 for the sensor, seed + 2 for the actuator).
+The fuzzy.lo/hi/counts/width_scale keys are validated by grid_over_box, the
+controller keys and P by ControllerConfig, the plant parameters by
+PendulumParams; config itself checks only what no constructor owns: list
+lengths, the step and rule budgets, the reference and disturbance bounds,
+the channel delays as whole steps of dt and g_min <= theta_g_init <=
+sys.float_info.max / 2. Every rejection names each key its rule reads that a
+source set, with that source's line, or the rule's first key when no source
+set any.
 """
 from __future__ import annotations
 
@@ -126,10 +127,8 @@ _KEYS = {
     "disturbance.omega": (float, 2.0),                                  # rad/s
     "sensor_channel.delay": (float, 0.0),                               # s, whole steps of dt
     "sensor_channel.drop_prob": (float, 0.0),                           # in [0, 1)
-    "sensor_channel.seed": (int, None),                                 # None: seed + 1
     "actuator_channel.delay": (float, 0.0),                             # as sensor_channel.delay
     "actuator_channel.drop_prob": (float, 0.0),                         # in [0, 1)
-    "actuator_channel.seed": (int, None),                               # None: seed + 2
     "controller.k": (_parse_float_list, ControllerConfig.k),            # k1, k2 > 0 (Hurwitz)
     "controller.q_diag": (_parse_float_list, ControllerConfig.q_diag),  # diagonal of Q
     "controller.r": (float, ControllerConfig.r),                        # auxiliary-term weight
@@ -146,7 +145,7 @@ _KEYS = {
 }
 
 
-def _read_entries(text: str, source: str, entries: dict) -> None:
+def _read_entries(text: str, source: str, values: dict, where: dict) -> None:
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -157,36 +156,38 @@ def _read_entries(text: str, source: str, entries: dict) -> None:
         if key not in _KEYS:
             raise ConfigError(f"{source} line {lineno}: unknown key '{key}'")
         try:
-            value = _KEYS[key][0](raw)
+            values[key] = _KEYS[key][0](raw)
         except ValueError as exc:
             raise ConfigError(
                 f"{source} line {lineno}: malformed value for '{key}': {exc}") from None
-        entries[key] = (value, f"{source} line {lineno}")
+        where[key] = f"{source} line {lineno}"
 
 
-def _require(condition: bool, key: str, where: str, message: str) -> None:
+def _require(condition: bool, keys: tuple, where: dict, message: str) -> None:
+    """Raise the ConfigError of a rule over keys unless condition holds.
+
+    Every key of the rule that a source set is named with its line, or the
+    first key when no source set any.
+    """
     if not condition:
-        raise ConfigError(f"invalid '{key}' ({where}): {message}")
+        named = [k for k in keys if where[k] != "default"] or keys[:1]
+        blamed = ", ".join(f"'{k}' ({where[k]})" for k in named)
+        raise ConfigError(f"invalid {blamed}: {message}")
 
 
 @contextmanager
 def _reported(prefix: str, where: dict, keys: dict | None = None):
-    """Re-raise a ValueError from the block as a ConfigError naming its keys.
+    """Re-raise a ValueError from the block through _require.
 
     The validators start their messages with the field they reject; the
-    key is prefix.field unless keys maps the field to candidate keys (a
-    derived value such as the grid's centers comes from several keys). Every
-    candidate a source set is named with its line, or the first candidate
-    when none was set.
+    rule's key is prefix.field unless keys maps the field to the keys it
+    reads (a derived value such as the grid's centers comes from several).
     """
     try:
         yield
     except ValueError as exc:
         field = str(exc).split()[0].lower()
-        candidates = (keys or {}).get(field, (f"{prefix}.{field}",))
-        named = [k for k in candidates if where[k] != "default"] or candidates[:1]
-        blamed = ", ".join(f"'{k}' ({where[k]})" for k in named)
-        raise ConfigError(f"invalid {blamed}: {exc}") from None
+        _require(False, (keys or {}).get(field, (f"{prefix}.{field}",)), where, str(exc))
 
 
 def check_step_multiple(delay: float, dt: float) -> int:
@@ -208,15 +209,9 @@ def _record(cls, prefix: str, values: dict, **resolved):
     return cls(**(named | resolved))
 
 
-def _channel_config(values, where, prefix: str, dt: float, master_seed: int,
-                    default_seed_offset: int, initial_value) -> ChannelConfig:
-    seed = values[f"{prefix}.seed"]
-    if seed is None:
-        # a derived seed is reported under the master seed
-        seed = master_seed + default_seed_offset
-        _require(seed < 2 ** 64, "seed", where["seed"],
-                 f"seed + {default_seed_offset} ({prefix}.seed) must be below 2**64")
-    with _reported(prefix, where):
+def _channel_config(values, where, prefix: str, dt: float, seed: int,
+                    initial_value) -> ChannelConfig:
+    with _reported(prefix, where, {"delay": (f"{prefix}.delay", "dt")}):
         delay_steps = check_step_multiple(values[f"{prefix}.delay"], dt)
         return ChannelConfig(delay_steps=delay_steps, drop_prob=values[f"{prefix}.drop_prob"],
                              seed=seed, initial_value=initial_value)
@@ -228,49 +223,42 @@ def build_config(sources: list) -> ExperimentConfig:
     Sources are applied in order; later assignments of a key override
     earlier ones.
     """
-    entries: dict = {}
-    for name, text in sources:
-        _read_entries(text, name, entries)
     values = {key: default for key, (_, default) in _KEYS.items()}
     where = dict.fromkeys(_KEYS, "default")
-    for key, (value, location) in entries.items():
-        values[key] = value
-        where[key] = location
+    for name, text in sources:
+        _read_entries(text, name, values, where)
 
     dt = values["dt"]
     duration = values["duration"]
-    _require(0 < dt < math.inf, "dt", where["dt"], "must be positive and finite")
+    _require(0 < dt < math.inf, ("dt",), where, "must be positive and finite")
     # n_steps rounds duration/dt half to even, so at most half a step gives none
-    _require(duration / dt > 0.5, "duration", where["duration"],
-             "must cover at least one step of dt")
-    _require(duration / dt <= MAX_STEPS, "duration", where["duration"],
+    _require(duration / dt > 0.5, ("duration", "dt"), where, "must cover at least one step of dt")
+    _require(duration / dt <= MAX_STEPS, ("duration", "dt"), where,
              f"duration/dt must not exceed {MAX_STEPS}")
     seed = values["seed"]
-    _require(0 <= seed < 2 ** 64, "seed", where["seed"],
-             "must be a 64-bit unsigned integer")
+    _require(0 <= seed < 2 ** 64 - 2, ("seed",), where,
+             "must be in [0, 2**64 - 2): the channels draw from seed + 1 and seed + 2")
     reference = _record(ReferenceConfig, "reference", values)
     for key in ("reference.amplitude", "reference.frequency"):
-        _require(0 <= values[key] < math.inf, key, where[key], "must be finite and nonnegative")
+        _require(0 <= values[key] < math.inf, (key,), where, "must be finite and nonnegative")
     # harness.reference_derivatives computes amplitude * frequency ** 2; the product
     # is inf, or NaN for amplitude 0, once frequency ** 2 alone overflows
     _require(reference.amplitude * (reference.frequency * reference.frequency) < math.inf,
-             "reference.frequency", where["reference.frequency"],
+             ("reference.amplitude", "reference.frequency"), where,
              "amplitude * frequency ** 2 overflows")
 
     with _reported("plant", where):
         params = _record(PendulumParams, "plant", values)
 
     disturbance = _record(DisturbanceConfig, "disturbance", values)
-    _require(math.isfinite(disturbance.d0), "disturbance.d0", where["disturbance.d0"],
-             "must be finite")
+    _require(math.isfinite(disturbance.d0), ("disturbance.d0",), where, "must be finite")
     # the plant evaluates sin(omega * t) for t up to duration
-    _require(abs(disturbance.omega) * duration < math.inf, "disturbance.omega",
-             where["disturbance.omega"], "omega * duration must be finite")
+    _require(abs(disturbance.omega) * duration < math.inf, ("disturbance.omega", "duration"),
+             where, "omega * duration must be finite")
 
     x0 = tuple(values["plant.x0"])
-    _require(len(x0) == 2, "plant.x0", where["plant.x0"], "must have exactly 2 entries")
-    _require(all(map(math.isfinite, x0)), "plant.x0", where["plant.x0"],
-             "entries must be finite")
+    _require(len(x0) == 2, ("plant.x0",), where, "must have exactly 2 entries")
+    _require(all(map(math.isfinite, x0)), ("plant.x0",), where, "entries must be finite")
 
     alpha = values["controller.filter_alpha"]
     if alpha is None:
@@ -281,23 +269,24 @@ def build_config(sources: list) -> ExperimentConfig:
         controller = _record(ControllerConfig, "controller", values, filter_alpha=alpha)
 
     for key in ("fuzzy.lo", "fuzzy.hi", "fuzzy.counts"):
-        _require(len(values[key]) == 2, key, where[key],
+        _require(len(values[key]) == 2, (key,), where,
                  "must have exactly 2 entries for the order-2 benchmark")
     counts = values["fuzzy.counts"]
-    _require(math.prod(counts) <= MAX_RULES, "fuzzy.counts", where["fuzzy.counts"],
+    _require(math.prod(counts) <= MAX_RULES, ("fuzzy.counts",), where,
              f"the rule count (their product) must not exceed {MAX_RULES}")
-    # the grid reports its centers and widths, which it derives from all four keys
+    # the grid reports its box, centers and widths, which it derives from the four keys
     with _reported("fuzzy", where, {
+            "box": ("fuzzy.lo", "fuzzy.hi"),
             "centers": ("fuzzy.lo", "fuzzy.hi", "fuzzy.counts"),
-            "widths": ("fuzzy.width_scale", "fuzzy.lo", "fuzzy.hi")}):
+            "widths": ("fuzzy.counts", "fuzzy.lo", "fuzzy.hi", "fuzzy.width_scale")}):
         grid = grid_over_box(values["fuzzy.lo"], values["fuzzy.hi"], counts,
                              values["fuzzy.width_scale"])
     _require(controller.g_min <= values["fuzzy.theta_g_init"] <= sys.float_info.max / 2,
-             "fuzzy.theta_g_init", where["fuzzy.theta_g_init"],
-             "must be in [controller.g_min, sys.float_info.max / 2] (the law divides by g_hat)")
+             ("fuzzy.theta_g_init", "controller.g_min"), where,
+             "theta_g_init must lie in [g_min, sys.float_info.max / 2] (the law divides by g_hat)")
 
-    sensor = _channel_config(values, where, "sensor_channel", dt, seed, 1, initial_value=x0)
-    actuator = _channel_config(values, where, "actuator_channel", dt, seed, 2,
+    sensor = _channel_config(values, where, "sensor_channel", dt, seed + 1, initial_value=x0)
+    actuator = _channel_config(values, where, "actuator_channel", dt, seed + 2,
                                initial_value=0.0)
 
     return ExperimentConfig(

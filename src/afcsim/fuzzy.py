@@ -84,7 +84,7 @@ def grid_over_box(lo, hi, counts, width_scale: float) -> MembershipGrid:
         if not np.all(np.isfinite(bound)):
             raise ValueError(f"{name} must be finite")
     if not np.all(lo < hi):
-        raise ValueError("lo must satisfy lo < hi componentwise")
+        raise ValueError("box must satisfy lo < hi componentwise")
     if min(counts) < 1:
         raise ValueError("counts must be >= 1")
     centers = []

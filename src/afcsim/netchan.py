@@ -9,6 +9,7 @@ run without loss has no use for numpy.random.
 """
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Any
@@ -21,9 +22,8 @@ __all__ = [
     "Channel",
 ]
 
-# Drop flags are drawn this many at a time; a block of uniform draws equals
-# the same number of single draws from the generator, bit for bit. A lossless
-# channel refills its flags with this many Falses.
+# A lossy channel draws its drop flags this many at a time; a block of uniform
+# draws equals the same number of single draws from the generator, bit for bit.
 DROP_BLOCK = 4096
 
 # Entered in place of a dropped payload, so the line advances once per push.
@@ -59,9 +59,14 @@ class Channel:
     """
 
     def __init__(self, config: ChannelConfig):
-        self.config = config
-        self._rng = np.random.default_rng(int(config.seed)) if config.drop_prob > 0 else None
-        self._drops: list = []              # pre-drawn flags, next one last
+        # the endless stream of drop decisions, one per push
+        if config.drop_prob == 0:
+            self._drops = itertools.repeat(False)
+        else:
+            rng = np.random.default_rng(int(config.seed))
+            self._drops = itertools.chain.from_iterable(
+                (rng.random(DROP_BLOCK) < config.drop_prob).tolist()
+                for _ in itertools.repeat(None))
         self._line: deque = deque()
         self._delay = config.delay_steps
         self._held = config.initial_value
@@ -69,13 +74,7 @@ class Channel:
     def push(self, value) -> bool:
         """Offer the payload of the current step; returns True when it is
         dropped."""
-        if not self._drops:
-            if self._rng is None:
-                self._drops = [False] * DROP_BLOCK
-            else:
-                self._drops = (self._rng.random(DROP_BLOCK) < self.config.drop_prob).tolist()
-                self._drops.reverse()
-        dropped = self._drops.pop()
+        dropped = next(self._drops)
         self._line.append(_LOST if dropped else value)
         return dropped
 

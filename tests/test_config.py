@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from afcsim import config, harness
 
@@ -124,11 +125,11 @@ def test_missing_equals_rejected():
     ("duration = 5\nfuzzy.width_scale = 1e-160", r"'fuzzy\.width_scale' \(config line 2\): widths"),
     ("fuzzy.counts = 1, 1\nfuzzy.width_scale = 1e-160",
      r"'fuzzy\.width_scale' \(config line 2\): widths"),
-    # a channel seed derived from the master seed is reported under 'seed'
+    # the channels draw from seed + 1 and seed + 2, so the two largest seeds are rejected
     ("duration = 5\nseed = 18446744073709551615",
-     r"'seed' \(config line 2\): seed \+ 1 \(sensor_channel\.seed\) must be below 2\*\*64"),
+     r"'seed' \(config line 2\): must be in \[0, 2\*\*64 - 2\)"),
     ("duration = 5\nseed = 18446744073709551614",
-     r"'seed' \(config line 2\): seed \+ 2 \(actuator_channel\.seed\) must be below 2\*\*64"),
+     r"'seed' \(config line 2\): must be in \[0, 2\*\*64 - 2\)"),
     ("duration = 5\ndisturbance.d0 = inf", r"'disturbance\.d0' \(config line 2\)"),
     ("duration = 5\ndisturbance.d0 = nan", r"'disturbance\.d0' \(config line 2\)"),
     ("duration = 5\ndisturbance.omega = nan", r"'disturbance\.omega' \(config line 2\)"),
@@ -142,6 +143,19 @@ def test_missing_equals_rejected():
     ("duration = 5\nfuzzy.theta_g_init = inf", r"'fuzzy\.theta_g_init' \(config line 2\)"),
     ("duration = 5\nfuzzy.theta_g_init = 1.7976931348623157e308",
      r"'fuzzy\.theta_g_init' \(config line 2\)"),
+    # a rule over several keys names the ones a source set, not a default
+    ("dt = 5e-324", r"'dt' \(config line 1\): duration/dt must not exceed"),
+    ("dt = 18446744073709551615", r"'dt' \(config line 1\): must cover at least one step"),
+    ("duration = 1e308\ndt = 1e302", r"'duration' \(config line 1\): omega \* duration"),
+    ("controller.g_min = 1e200", r"'controller\.g_min' \(config line 1\): theta_g_init must lie"),
+    ("fuzzy.hi = -1, 1", r"'fuzzy\.hi' \(config line 1\): box must satisfy lo < hi"),
+    ("fuzzy.counts = 1000, 5\nfuzzy.lo = 0, -1\nfuzzy.hi = 1e-321, 1",
+     r"'fuzzy\.counts' \(config line 1\), 'fuzzy\.lo' \(config line 2\), "
+     r"'fuzzy\.hi' \(config line 3\): widths"),
+    ("reference.frequency = 2\nreference.amplitude = 1e308",
+     r"'reference\.amplitude' \(config line 2\), 'reference\.frequency' \(config line 1\)"),
+    ("actuator_channel.delay = 0.02\ndt = 0.003",
+     r"'actuator_channel\.delay' \(config line 1\), 'dt' \(config line 2\): delay"),
 ])
 def test_invariant_violations_rejected(text, match):
     with pytest.raises(config.ConfigError, match=match) as excinfo:
@@ -185,20 +199,43 @@ def test_channel_seeds_derived_from_master_seed():
     cfg = config.parse_config("seed = 1000")
     assert cfg.sensor_channel.seed == 1001
     assert cfg.actuator_channel.seed == 1002
-    cfg = config.parse_config("seed = 1000\nsensor_channel.seed = 7")
-    assert cfg.sensor_channel.seed == 7
-    # the largest master seed builds once neither channel derives its seed from it
-    cfg = config.parse_config("seed = 18446744073709551615\n"
-                              "sensor_channel.seed = 1\nactuator_channel.seed = 2")
-    assert (cfg.seed, cfg.sensor_channel.seed, cfg.actuator_channel.seed) == (2 ** 64 - 1, 1, 2)
+    # the largest master seed whose derived seeds are both 64-bit
+    cfg = config.parse_config("seed = 18446744073709551613")
+    assert (cfg.sensor_channel.seed, cfg.actuator_channel.seed) == (2 ** 64 - 2, 2 ** 64 - 1)
 
 
-def test_sample_period_key_rejected():
-    with pytest.raises(config.ConfigError,
-                       match=r"line 2: unknown key 'sensor_channel\.sample_period'"):
-        config.parse_config("duration = 5\nsensor_channel.sample_period = 0.001\n")
+@pytest.mark.parametrize("key", [
+    "sensor_channel.sample_period", "sensor_channel.seed", "actuator_channel.seed"])
+def test_removed_keys_rejected(key):
+    with pytest.raises(config.ConfigError, match=rf"line 2: unknown key '{re.escape(key)}'"):
+        config.parse_config(f"duration = 5\n{key} = 1\n")
 
 
+# edge values for any key: a float parser takes the scalars, a list parser the
+# lists, an int parser 0, -1 and 2**64 - 1; the rest must fail as malformed
+_EDGE_VALUES = ["0", "-1", "1e-9", "5e-324", "1e308", "inf", "nan", str(2 ** 64 - 1),
+                "-1, 1", "0, 1", "1e308, 5e-324", "1, 2, 3"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(sorted(config._KEYS)), st.sampled_from(_EDGE_VALUES)),
+                min_size=1, max_size=4))
+def test_every_rejection_names_a_key_a_source_set(assignments):
+    text = "\n".join(f"{key} = {value}" for key, value in assignments)
+    try:
+        config.parse_config(text)
+    except config.ConfigError as exc:
+        message = str(exc)
+    else:
+        return
+    malformed = re.fullmatch(r"config line (\d+): malformed value for '([\w.]+)': .*", message)
+    if malformed:
+        assert assignments[int(malformed[1]) - 1][0] == malformed[2]
+        return
+    last_line = {key: n for n, (key, _) in enumerate(assignments, start=1)}
+    named = re.findall(r"'([\w.]+)' \((config line \d+|default)\)", message)
+    assert named, message
+    assert all(where == f"config line {last_line.get(key)}" for key, where in named), message
 def test_networked_preset():
     cfg = config.build_config([("preset", config.preset_text("networked"))])
     assert cfg.actuator_channel.delay_steps == 20

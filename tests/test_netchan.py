@@ -23,8 +23,8 @@ def test_config_validation():
 
 
 def test_no_drops_when_probability_zero():
-    # a lossless channel refills its flags without a generator; the pushes
-    # cross two refills and every payload must come through
+    # a lossless channel's flags are an endless run of False, with no
+    # generator; the pushes run past two blocks and every payload must come through
     ch = make_channel(drop_prob=0.0)
     values = [float(i) for i in range(2 * netchan.DROP_BLOCK + 200)]
     flags, outputs = [], []
