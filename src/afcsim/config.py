@@ -11,12 +11,13 @@ unset controller.filter_alpha (0.2 if either channel has a delay, else 1.0)
 and the channel seeds (seed + 1 for the sensor, seed + 2 for the actuator).
 The fuzzy.lo/hi/counts/width_scale keys are validated by grid_over_box, the
 controller keys and P by ControllerConfig, the plant parameters by
-PendulumParams; config itself checks only what no constructor owns: list
-lengths, the step and rule budgets, the reference and disturbance bounds,
-the channel delays as whole steps of dt and g_min <= theta_g_init <=
-sys.float_info.max / 2. Every rejection names each key its rule reads that a
-source set, with that source's line, or the rule's first key when no source
-set any.
+PendulumParams and each channel's drop_prob by ChannelConfig. config itself
+checks, one _require call per rule, only what no constructor owns: the
+master seed's range, list lengths, the step and rule budgets, the reference
+and disturbance bounds, the channel delays as finite, nonnegative, whole
+steps of dt and g_min <= theta_g_init <= sys.float_info.max / 2. Every
+rejection names each key its rule reads that a source set, with that
+source's line, or the rule's first key when no source set any.
 """
 from __future__ import annotations
 
@@ -102,12 +103,9 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_float_list(raw: str) -> list:
-    return [float(part) for part in raw.split(",")]
-
-
-def _parse_int_list(raw: str) -> list:
-    return [int(part) for part in raw.split(",")]
+def _list_of(element):
+    """The parser of a comma-separated list of element values."""
+    return lambda raw: [element(part) for part in raw.split(",")]
 
 
 # key: (parser, default), with its unit or rule; the defaults form the nominal preset
@@ -122,24 +120,24 @@ _KEYS = {
     "plant.pole_mass": (float, PendulumParams.pole_mass),               # kg
     "plant.half_length": (float, PendulumParams.half_length),           # m
     "plant.gravity": (float, PendulumParams.gravity),                   # m/s^2
-    "plant.x0": (_parse_float_list, [0.0, 0.0]),                        # angle rad, rate rad/s
+    "plant.x0": (_list_of(float), [0.0, 0.0]),                          # angle rad, rate rad/s
     "disturbance.d0": (float, 0.1),                                     # d(t) = d0 sin(omega t)
     "disturbance.omega": (float, 2.0),                                  # rad/s
     "sensor_channel.delay": (float, 0.0),                               # s, whole steps of dt
     "sensor_channel.drop_prob": (float, 0.0),                           # in [0, 1)
     "actuator_channel.delay": (float, 0.0),                             # as sensor_channel.delay
     "actuator_channel.drop_prob": (float, 0.0),                         # in [0, 1)
-    "controller.k": (_parse_float_list, ControllerConfig.k),            # k1, k2 > 0 (Hurwitz)
-    "controller.q_diag": (_parse_float_list, ControllerConfig.q_diag),  # diagonal of Q
+    "controller.k": (_list_of(float), ControllerConfig.k),              # k1, k2 > 0 (Hurwitz)
+    "controller.q_diag": (_list_of(float), ControllerConfig.q_diag),    # diagonal of Q
     "controller.r": (float, ControllerConfig.r),                        # auxiliary-term weight
     "controller.gamma_f": (float, ControllerConfig.gamma_f),            # theta_f adaptation rate
     "controller.gamma_g": (float, ControllerConfig.gamma_g),            # theta_g adaptation rate
     "controller.g_min": (float, ControllerConfig.g_min),                # floor under g_hat
     "controller.u_max": (float, ControllerConfig.u_max),                # saturation, N
     "controller.filter_alpha": (float, None),                           # in (0, 1]; None: auto
-    "fuzzy.lo": (_parse_float_list, [-math.pi / 6.0, -1.0]),            # grid box lower corner
-    "fuzzy.hi": (_parse_float_list, [math.pi / 6.0, 1.0]),              # grid box upper corner
-    "fuzzy.counts": (_parse_int_list, [5, 5]),                          # memberships per dimension
+    "fuzzy.lo": (_list_of(float), [-math.pi / 6.0, -1.0]),              # grid box lower corner
+    "fuzzy.hi": (_list_of(float), [math.pi / 6.0, 1.0]),                # grid box upper corner
+    "fuzzy.counts": (_list_of(int), [5, 5]),                            # memberships per dimension
     "fuzzy.width_scale": (float, 1.0),                                  # width / center spacing
     "fuzzy.theta_g_init": (float, 1.0),                                 # g_min to max float / 2
 }
@@ -190,31 +188,11 @@ def _reported(prefix: str, where: dict, keys: dict | None = None):
         _require(False, (keys or {}).get(field, (f"{prefix}.{field}",)), where, str(exc))
 
 
-def check_step_multiple(delay: float, dt: float) -> int:
-    """Validate that a channel delay is a finite, nonnegative, exact multiple
-    of dt; return the multiple."""
-    steps = delay / dt
-    if not 0 <= steps < math.inf:
-        raise ValueError(f"delay ({delay!r}) must be a finite, nonnegative number of steps")
-    k = round(steps)
-    if abs(delay - k * dt) > 1e-9 * dt:
-        raise ValueError(f"delay ({delay!r}) must be an exact multiple of dt ({dt!r})")
-    return k
-
-
 def _record(cls, prefix: str, values: dict, **resolved):
     """cls with each init field read from the key prefix.field, the rule _reported
     names keys by; resolved gives the fields build_config derives instead."""
     named = {f.name: values[f"{prefix}.{f.name}"] for f in fields(cls) if f.init}
     return cls(**(named | resolved))
-
-
-def _channel_config(values, where, prefix: str, dt: float, seed: int,
-                    initial_value) -> ChannelConfig:
-    with _reported(prefix, where, {"delay": (f"{prefix}.delay", "dt")}):
-        delay_steps = check_step_multiple(values[f"{prefix}.delay"], dt)
-        return ChannelConfig(delay_steps=delay_steps, drop_prob=values[f"{prefix}.drop_prob"],
-                             seed=seed, initial_value=initial_value)
 
 
 def build_config(sources: list) -> ExperimentConfig:
@@ -247,7 +225,9 @@ def build_config(sources: list) -> ExperimentConfig:
              ("reference.amplitude", "reference.frequency"), where,
              "amplitude * frequency ** 2 overflows")
 
-    with _reported("plant", where):
+    # the pendulum denominator reads three of the plant keys
+    with _reported("plant", where, {
+            "pendulum": ("plant.half_length", "plant.pole_mass", "plant.cart_mass")}):
         params = _record(PendulumParams, "plant", values)
 
     disturbance = _record(DisturbanceConfig, "disturbance", values)
@@ -285,9 +265,19 @@ def build_config(sources: list) -> ExperimentConfig:
              ("fuzzy.theta_g_init", "controller.g_min"), where,
              "theta_g_init must lie in [g_min, sys.float_info.max / 2] (the law divides by g_hat)")
 
-    sensor = _channel_config(values, where, "sensor_channel", dt, seed + 1, initial_value=x0)
-    actuator = _channel_config(values, where, "actuator_channel", dt, seed + 2,
-                               initial_value=0.0)
+    # each channel delays by whole steps of dt, up to rounding, and draws from its own seed
+    channels = {}
+    for prefix, offset, initial_value in (("sensor_channel", 1, x0), ("actuator_channel", 2, 0.0)):
+        delay, keys = values[f"{prefix}.delay"], (f"{prefix}.delay", "dt")
+        steps = delay / dt
+        _require(0 <= steps < math.inf, keys, where,
+                 f"delay ({delay!r}) must be a finite, nonnegative number of steps")
+        _require(abs(delay - round(steps) * dt) <= 1e-9 * dt, keys, where,
+                 f"delay ({delay!r}) must be an exact multiple of dt ({dt!r})")
+        with _reported(prefix, where):
+            channels[prefix] = ChannelConfig(
+                delay_steps=round(steps), drop_prob=values[f"{prefix}.drop_prob"],
+                seed=seed + offset, initial_value=initial_value)
 
     return ExperimentConfig(
         duration=duration,
@@ -298,8 +288,8 @@ def build_config(sources: list) -> ExperimentConfig:
         plant=params,
         x0=x0,
         disturbance=disturbance,
-        sensor_channel=sensor,
-        actuator_channel=actuator,
+        sensor_channel=channels["sensor_channel"],
+        actuator_channel=channels["actuator_channel"],
         controller=controller,
         fuzzy=grid,
         theta_g_init=values["fuzzy.theta_g_init"],

@@ -43,8 +43,8 @@ class PendulumParams:
         # fg divides by half_length * (4/3 - pole_mass cos^2 / total), smallest at cos^2 = 1
         total = self.cart_mass + self.pole_mass
         if not self.half_length * (4.0 / 3.0 - self.pole_mass / total) > 0:
-            raise ValueError("half_length is too small: the pendulum denominator "
-                             "half_length * (4/3 - pole_mass / total mass) rounds to 0")
+            raise ValueError("pendulum denominator half_length * (4/3 - pole_mass / "
+                             "(cart_mass + pole_mass)) rounds to 0")
 
 
 @dataclass(frozen=True)

@@ -162,8 +162,10 @@ def test_control_saturates():
 
 def test_control_rejects_singular_gain_estimate():
     cfg = afhc.ControllerConfig(g_min=0.1)
-    with pytest.raises(afhc.SingularControlError, match="singular"):
-        afhc.control_law(cfg, 0.0, 0.05, [0.0, 0.0], 0.0)
+    # the floor's slack covers rounding, not a relative shortfall of 1e-6
+    for g_hat in (0.05, 0.1 * (1 - 1e-6)):
+        with pytest.raises(afhc.SingularControlError, match="singular"):
+            afhc.control_law(cfg, 0.0, g_hat, [0.0, 0.0], 0.0)
 
 
 def test_control_tolerates_gain_at_the_floor():

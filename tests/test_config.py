@@ -135,8 +135,17 @@ def test_missing_equals_rejected():
     ("duration = 5\ndisturbance.omega = nan", r"'disturbance\.omega' \(config line 2\)"),
     ("duration = 20\ndisturbance.omega = 1e307", r"'disturbance\.omega' \(config line 2\)"),
     ("duration = 5\nplant.gravity = inf", r"'plant\.gravity' \(config line 2\)"),
+    # the pendulum denominator rule reads half_length, pole_mass and cart_mass
     ("plant.pole_mass = 1e300\nplant.half_length = 5e-324",
-     r"'plant\.half_length' \(config line 2\): half_length is too small"),
+     r"'plant\.half_length' \(config line 2\), 'plant\.pole_mass' \(config line 1\): "
+     r"pendulum denominator"),
+    ("plant.half_length = 5e-324\nplant.cart_mass = 1e-30",
+     r"'plant\.half_length' \(config line 1\), 'plant\.cart_mass' \(config line 2\): "
+     r"pendulum denominator"),
+    ("plant.cart_mass = 1\nplant.pole_mass = 1e300\nplant.half_length = 5e-324",
+     r"^invalid 'plant\.half_length' \(config line 3\), 'plant\.pole_mass' \(config line 2\), "
+     r"'plant\.cart_mass' \(config line 1\): pendulum denominator half_length \* "
+     r"\(4/3 - pole_mass / \(cart_mass \+ pole_mass\)\) rounds to 0$"),
     ("duration = 5\ncontroller.gamma_f = inf", r"'controller\.gamma_f' \(config line 2\)"),
     ("duration = 5\ncontroller.gamma_g = inf", r"'controller\.gamma_g' \(config line 2\)"),
     ("duration = 5\ncontroller.g_min = inf", r"'controller\.g_min' \(config line 2\)"),
@@ -156,6 +165,25 @@ def test_missing_equals_rejected():
      r"'reference\.amplitude' \(config line 2\), 'reference\.frequency' \(config line 1\)"),
     ("actuator_channel.delay = 0.02\ndt = 0.003",
      r"'actuator_channel\.delay' \(config line 1\), 'dt' \(config line 2\): delay"),
+    # the channel-delay rule's full texts
+    ("duration = 5\nactuator_channel.delay = nan",
+     r"^invalid 'actuator_channel\.delay' \(config line 2\): "
+     r"delay \(nan\) must be a finite, nonnegative number of steps$"),
+    ("duration = 5\nsensor_channel.delay = -0.1",
+     r"^invalid 'sensor_channel\.delay' \(config line 2\): "
+     r"delay \(-0\.1\) must be a finite, nonnegative number of steps$"),
+    ("sensor_channel.delay = inf\nduration = 5",
+     r"^invalid 'sensor_channel\.delay' \(config line 1\): "
+     r"delay \(inf\) must be a finite, nonnegative number of steps$"),
+    ("dt = 0.002\nactuator_channel.delay = -inf",
+     r"^invalid 'actuator_channel\.delay' \(config line 2\), 'dt' \(config line 1\): "
+     r"delay \(-inf\) must be a finite, nonnegative number of steps$"),
+    ("duration = 5\nactuator_channel.delay = 0.0205",
+     r"^invalid 'actuator_channel\.delay' \(config line 2\): "
+     r"delay \(0\.0205\) must be an exact multiple of dt \(0\.001\)$"),
+    ("sensor_channel.delay = 0.01\ndt = 0.003",
+     r"^invalid 'sensor_channel\.delay' \(config line 1\), 'dt' \(config line 2\): "
+     r"delay \(0\.01\) must be an exact multiple of dt \(0\.003\)$"),
 ])
 def test_invariant_violations_rejected(text, match):
     with pytest.raises(config.ConfigError, match=match) as excinfo:
@@ -236,6 +264,8 @@ def test_every_rejection_names_a_key_a_source_set(assignments):
     named = re.findall(r"'([\w.]+)' \((config line \d+|default)\)", message)
     assert named, message
     assert all(where == f"config line {last_line.get(key)}" for key, where in named), message
+
+
 def test_networked_preset():
     cfg = config.build_config([("preset", config.preset_text("networked"))])
     assert cfg.actuator_channel.delay_steps == 20

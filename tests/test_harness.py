@@ -20,13 +20,14 @@ def run_text(text=""):
     return cfg, trace, metrics
 
 
-def synthetic_trace(t, e, u=None, abort_reason=None):
+def synthetic_trace(t, e, u=None, abort_reason=None, u_applied=None):
     t = np.asarray(t, dtype=float)
     e = np.asarray(e, dtype=float)
     z = np.zeros_like(t)
     u = z if u is None else np.asarray(u, dtype=float)
+    u_applied = u if u_applied is None else np.asarray(u_applied, dtype=float)
     columns = dict.fromkeys(harness.TRACE_COLUMNS, z) | dict(
-        t=t, x1=-e, e=e, e_filt=e, u=u, u_applied=u, g_hat=z + 1.0)
+        t=t, x1=-e, e=e, e_filt=e, u=u, u_applied=u_applied, g_hat=z + 1.0)
     rows = np.stack([columns[name] for name in harness.TRACE_COLUMNS], axis=1)
     return harness.SimulationTrace(rows, abort_reason=abort_reason)
 
@@ -211,6 +212,15 @@ def test_metrics_constant_error_rmse():
     t = np.arange(0, 5.0, 0.001)
     m = harness.compute_metrics(synthetic_trace(t, np.full_like(t, -0.3)), cfg)
     assert m.rmse == pytest.approx(0.3, rel=1e-12)
+
+
+def test_metrics_max_abs_u_reads_the_commanded_control():
+    # the actuator channel delays or holds the command; the metric is the controller's
+    cfg = config.parse_config("")
+    t = np.arange(0, 1.0, 0.001)
+    m = harness.compute_metrics(synthetic_trace(
+        t, np.zeros_like(t), u=np.full_like(t, -2.0), u_applied=np.full_like(t, 7.0)), cfg)
+    assert m.max_abs_u == 2.0
 
 
 def test_metrics_empty_trace_rejected():
