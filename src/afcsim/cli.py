@@ -74,7 +74,3 @@ def main(argv=None) -> int:
         if trace.abort_reason:
             print(f"abort_reason = {trace.abort_reason}")
     return 2 if metrics.diverged else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -272,7 +272,7 @@ def build_config(sources: list) -> ExperimentConfig:
         steps = delay / dt
         _require(0 <= steps < math.inf, keys, where,
                  f"delay ({delay!r}) must be a finite, nonnegative number of steps")
-        _require(abs(delay - round(steps) * dt) <= 1e-9 * dt, keys, where,
+        _require(abs(delay - round(steps) * dt) <= 1e-9 * dt + 4 * math.ulp(delay), keys, where,
                  f"delay ({delay!r}) must be an exact multiple of dt ({dt!r})")
         with _reported(prefix, where):
             channels[prefix] = ChannelConfig(

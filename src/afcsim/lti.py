@@ -15,9 +15,7 @@ import numpy as np
 __all__ = [
     "StateSpaceModel",
     "RobustnessCertificate",
-    "FrequencyAtPoleError",
     "UnstableSystemError",
-    "IllPosedLoopError",
     "HinfConvergenceError",
     "static_gain",
     "identity",
@@ -36,16 +34,8 @@ _IMAG_AXIS_RTOL = 1e-8
 _MAX_ITERATIONS = 200
 
 
-class FrequencyAtPoleError(ValueError):
-    """Frequency response requested at (or numerically at) a pole."""
-
-
 class UnstableSystemError(ValueError):
     """Operation requires a stable system."""
-
-
-class IllPosedLoopError(ValueError):
-    """Feedback loop with a singular static loop matrix."""
 
 
 class HinfConvergenceError(RuntimeError):
@@ -152,16 +142,20 @@ def _responses(a, b, c, d, omegas: np.ndarray) -> np.ndarray:
     return c @ np.linalg.solve(m, b[None]) + d
 
 
+def _singular(m) -> bool:
+    """True when the square matrix m is (numerically) singular."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    return sv[-1] <= 1e-12 * max(sv[0], 1.0)
+
+
 def freq_response(ss: StateSpaceModel, omega: float) -> np.ndarray:
     """Complex response C (jw I - A)^-1 B + D at the frequency omega (rad/s).
 
-    Raises FrequencyAtPoleError when jw is (numerically) an eigenvalue of A.
+    Raises ValueError ("frequency at pole") when jw is (numerically) an
+    eigenvalue of A.
     """
-    if ss.n_states:
-        m = 1j * float(omega) * np.eye(ss.n_states) - ss.A
-        sv = np.linalg.svd(m, compute_uv=False)
-        if sv[-1] <= 1e-12 * max(sv[0], 1.0):
-            raise FrequencyAtPoleError(f"frequency at pole: omega={omega!r}")
+    if ss.n_states and _singular(1j * float(omega) * np.eye(ss.n_states) - ss.A):
+        raise ValueError(f"frequency at pole: omega={omega!r}")
     return _responses(ss.A, ss.B, ss.C, ss.D, np.array([float(omega)]))[0]
 
 
@@ -252,8 +246,8 @@ def closed_loop_tzw(ps: StateSpaceModel, k: StateSpaceModel) -> StateSpaceModel:
 
     Negative feedback with the disturbance w entering at the plant-output
     summing junction: the controller sees v = w - Ps(u), u = K(v), and the
-    stacked outputs are (v, u). Rejects loops whose static part I + Dps Dk
-    is singular.
+    stacked outputs are (v, u). Raises ValueError ("ill-posed loop") when
+    the static part I + Dps Dk is singular.
     """
     if ps.n_inputs != k.n_outputs or ps.n_outputs != k.n_inputs:
         raise ValueError(
@@ -261,9 +255,8 @@ def closed_loop_tzw(ps: StateSpaceModel, k: StateSpaceModel) -> StateSpaceModel:
             f"controller {k.n_outputs}x{k.n_inputs}")
     loop = _cascade(ps, k)
     static = np.eye(ps.n_outputs) + loop.D
-    sv = np.linalg.svd(static, compute_uv=False)
-    if sv[-1] <= 1e-12 * max(sv[0], 1.0):
-        raise IllPosedLoopError("ill-posed loop: I + D_ps D_k is singular")
+    if _singular(static):
+        raise ValueError("ill-posed loop: I + D_ps D_k is singular")
     # L = Ps K has the states (x_k, x_ps); v = w - L(v) gives v = delta (w - C_L x)
     delta = np.linalg.inv(static)
     dc = delta @ loop.C

@@ -191,6 +191,13 @@ def test_invariant_violations_rejected(text, match):
     assert re.search(r"'[\w.]+' \(config line \d+\)", str(excinfo.value))
 
 
+def test_whole_step_delay_tolerates_its_own_rounding():
+    # 8192.005 and 8192005 * 0.001 are one ulp (1.8e-12 s) apart, past 1e-9 * dt,
+    # so the tolerance grows with the delay
+    cfg = config.parse_config("actuator_channel.delay = 8192.005")
+    assert cfg.actuator_channel.delay_steps == 8192005
+
+
 def test_largest_theta_g_init_runs_without_overflow():
     # at the cap the g estimate, a sum over the rules, stays finite; pytest turns
     # numpy's overflow warning into an error

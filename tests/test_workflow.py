@@ -1,6 +1,11 @@
-"""The CI workflow names tests and scripts by path; each one must exist."""
+"""The CI workflow names tests and scripts by path, and a config it expects
+rejected; each test and script must exist, and the config must fail."""
 import re
 from pathlib import Path
+
+import pytest
+
+from afcsim import config
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKFLOW = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
@@ -20,3 +25,12 @@ def test_kernel_rerun_step_names_existing_tests():
 def test_benchmark_self_test_exists():
     assert "python3 bench/selftest.py" in WORKFLOW
     assert (ROOT / "bench" / "selftest.py").is_file()
+
+
+def test_console_script_step_writes_a_rejected_delay():
+    # the step expects exit code 1 and a message naming the key from this file
+    line = re.search(r"printf '([^']*)' > \"\$RUNNER_TEMP/bad\.cfg\"", WORKFLOW)
+    assert line, "the workflow writes no bad.cfg"
+    text = line[1].replace("\\n", "\n")
+    with pytest.raises(config.ConfigError, match=r"'actuator_channel\.delay'"):
+        config.build_config([("preset", config.preset_text("nominal")), ("bad.cfg", text)])
