@@ -149,7 +149,7 @@ def control_law(cfg: ControllerConfig, f_hat: float, g_hat: float, e_vec,
     return u
 
 
-def project_theta_g(approx_g: FuzzyApproximator, g_min: float) -> np.ndarray:
+def project_theta_g(approx_g: FuzzyApproximator, g_min: float) -> None:
     """Clamp every theta_g entry to at least g_min, in place.
 
     Because the regressor is a convex-combination vector, this keeps the g
@@ -157,18 +157,18 @@ def project_theta_g(approx_g: FuzzyApproximator, g_min: float) -> np.ndarray:
     by ControllerConfig.
     """
     np.maximum(approx_g.theta, g_min, out=approx_g.theta)
-    return approx_g.theta
 
 
 def adapt_step(approx_f: FuzzyApproximator, approx_g: FuzzyApproximator,
                xi: np.ndarray, e_vec, u: float, cfg: ControllerConfig,
-               dt: float) -> tuple:
+               dt: float) -> None:
     """One explicit-Euler step of the gradient adaptation laws, in place.
 
     Updates theta_f and theta_g from the adaptation signal s = E^T P B and
     the commanded control u, then projects theta_g onto [g_min, inf). The
     thetas of the two approximators must be the rows of one (2, R) array
-    (unchecked), so one update writes both. Returns (theta_f, theta_g).
+    (unchecked), so one update writes both; it raises numpy's broadcast
+    ValueError when xi does not fit the rows.
     """
     theta = approx_f.theta.base
     e0, e1 = e_vec
@@ -176,4 +176,3 @@ def adapt_step(approx_f: FuzzyApproximator, approx_g: FuzzyApproximator,
     s = p10 * e0 + p11 * e1
     theta += np.multiply.outer((dt * (-cfg.gamma_f * s), dt * (-cfg.gamma_g * s * u)), xi)
     project_theta_g(approx_g, cfg.g_min)
-    return approx_f.theta, approx_g.theta

@@ -47,22 +47,21 @@ class MembershipGrid:
         """Normalized firing strengths xi(x): positive, summing to one.
 
         Memberships are mu(x) = exp(-((x - c) / sigma)^2) and a rule's
-        strength is their product, so the normalized strengths are the outer
-        product of each dimension's normalized memberships. Each dimension is
-        shifted by its smallest squared distance: its largest membership is 1
-        and a far-from-grid input cannot underflow the normalizer. Python
-        floats (math.exp, a left-to-right sum) keep numpy's SIMD dispatch out.
+        strength is their product, so xi is the raveled outer product of each
+        dimension's normalized memberships. Each dimension is shifted by its
+        smallest squared distance: its largest membership is 1 and a
+        far-from-grid input cannot underflow the normalizer. Python floats
+        (math.exp, a left-to-right sum) keep numpy's SIMD dispatch out.
         x holds one value per grid dimension; its length is not checked here.
         """
-        xi = None
+        norms = []
         for v, centers, w in zip(x, self.centers, self.widths):
             sq = [z * z for z in [(v - c) / w for c in centers]]
             low = min(sq)
             mu = [math.exp(low - q) for q in sq]
             total = reduce(operator.add, mu)
-            norm = [m / total for m in mu]
-            xi = np.array(norm) if xi is None else np.multiply.outer(xi, norm).ravel()
-        return xi
+            norms.append([m / total for m in mu])
+        return np.ravel(reduce(np.multiply.outer, norms))
 
 
 def grid_over_box(lo, hi, counts, width_scale: float) -> MembershipGrid:
@@ -115,20 +114,12 @@ def grid_over_box(lo, hi, counts, width_scale: float) -> MembershipGrid:
 
 @dataclass(eq=False)
 class FuzzyApproximator:
-    """Rule consequent vector theta over a membership grid; output theta . xi(x).
-
-    A float array given as theta is kept, not copied, so it stays a view of
-    whatever array the caller cut it from; the control loop adapts it in place.
+    """Rule consequents theta of the output theta . xi(x), kept as given and
+    unchecked: the harness passes a row of its (2, R) float array, which
+    adapt_step updates in place.
     """
 
-    grid: MembershipGrid
     theta: np.ndarray
-
-    def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=float)
-        if self.theta.shape != (self.grid.rule_count,):
-            raise ValueError(
-                f"theta has shape {self.theta.shape}, grid has {self.grid.rule_count} rules")
 
 
 def write_theta(path, grid: MembershipGrid, theta) -> None:

@@ -97,7 +97,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
     theta = np.empty((2, grid.rule_count))  # rows theta_f and theta_g
     theta[0] = 0.0
     theta[1] = cfg.theta_g_init
-    approx_f, approx_g = (fuzzy.FuzzyApproximator(grid, row) for row in theta)
+    approx_f, approx_g = (fuzzy.FuzzyApproximator(row) for row in theta)
     (p00, p01), (p10, p11) = cfg.controller.p
 
     sensor = netchan.Channel(cfg.sensor_channel)

@@ -18,7 +18,7 @@ def approximator_pair(grid, theta_f, theta_g):
     as the control loop builds them."""
     theta = np.empty((2, grid.rule_count))
     theta[0], theta[1] = theta_f, theta_g
-    return tuple(fuzzy.FuzzyApproximator(grid, row) for row in theta)
+    return tuple(fuzzy.FuzzyApproximator(row) for row in theta)
 
 
 def two_rule_approximators(theta_f=(0.0, 0.0), theta_g=(1.0, 1.0)):
@@ -300,10 +300,18 @@ def test_projection_clamps_low_entries():
 def test_projection_bounds_g_estimate_everywhere():
     grid = fuzzy.grid_over_box([-2.0, -2.0], [2.0, 2.0], [4, 4], 1.0)
     rng = np.random.default_rng(12)
-    approx_g = fuzzy.FuzzyApproximator(grid, rng.normal(size=grid.rule_count))
+    approx_g = fuzzy.FuzzyApproximator(rng.normal(size=grid.rule_count))
     afhc.project_theta_g(approx_g, 0.1)
     for point in rng.uniform(-3.0, 3.0, size=(1000, 2)):
         assert estimate(grid, approx_g.theta, point) >= 0.1 - 1e-12
+
+
+def test_adapt_rejects_theta_of_another_length():
+    # the rule count is checked by the in-place update, not by the approximator
+    approx_f, approx_g = (fuzzy.FuzzyApproximator(row) for row in np.zeros((2, 7)))
+    xi = fuzzy.grid_over_box([-1.0, -1.0], [1.0, 1.0], [5, 5], 1.0).regressor([0.1, 0.2])
+    with pytest.raises(ValueError, match="broadcast"):
+        afhc.adapt_step(approx_f, approx_g, xi, (0.1, 0.2), 1.0, afhc.ControllerConfig(), 1e-3)
 
 
 def test_adapt_applies_projection():

@@ -174,7 +174,7 @@ def test_evaluate_is_convex_combination(point):
 def test_approximator_keeps_the_array_it_is_given():
     g = benchmark_grid()
     row = np.zeros((2, g.rule_count))[1]
-    approx = fuzzy.FuzzyApproximator(g, row)
+    approx = fuzzy.FuzzyApproximator(row)
     assert approx.theta is row
     row[3] = 7.0
     assert approx.theta[3] == 7.0
@@ -183,7 +183,7 @@ def test_approximator_keeps_the_array_it_is_given():
 def test_paired_rows_share_one_array():
     g = benchmark_grid()
     theta = np.empty((2, g.rule_count))
-    approx_f, approx_g = (fuzzy.FuzzyApproximator(g, row) for row in theta)
+    approx_f, approx_g = (fuzzy.FuzzyApproximator(row) for row in theta)
     assert approx_f.theta.base is theta and approx_g.theta.base is theta
     rng = np.random.default_rng(3)
     theta[:] = rng.normal(size=theta.shape)
@@ -191,11 +191,6 @@ def test_paired_rows_share_one_array():
     for x in rng.uniform(-1.0, 1.0, size=(200, 2)).tolist():
         f_hat, g_hat = np.add.reduce(theta * g.regressor(x), axis=1).tolist()
         assert (f_hat, g_hat) == (estimate(g, approx_f.theta, x), estimate(g, approx_g.theta, x))
-
-
-def test_theta_length_validated():
-    with pytest.raises(ValueError, match="rules"):
-        fuzzy.FuzzyApproximator(benchmark_grid(), np.zeros(7))
 
 
 # ------------------------------------------------------- approximation oracle
