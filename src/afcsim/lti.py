@@ -210,10 +210,12 @@ def hinf_norm(ss: StateSpaceModel, tol: float = 1e-8) -> float:
     returned, within tol / 2 of the norm relative to lower. A gain or a norm
     that overflows raises ValueError. A zero-state model's norm is
     sigma_max(D); an A with an eigenvalue off the open left half-plane raises
-    UnstableSystemError.
+    UnstableSystemError. A tol below 1e-12 raises ValueError: levels that
+    close to the bound lose the crossings to rounding and the norm comes
+    back low, or the Hamiltonian solve fails.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
+    if not 1e-12 <= tol < math.inf:
+        raise ValueError("tol must be positive and finite, at least 1e-12")
     a, b, c, d = ss.A, ss.B, ss.C, ss.D
     lam = np.linalg.eigvals(a)
     if not (lam.real < 0.0).all():

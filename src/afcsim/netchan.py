@@ -1,6 +1,7 @@
 """Simulated network channel: constant transport delay of whole control
 steps, seeded Bernoulli packet loss, and hold-last-sample compensation on the
-receiving side.
+receiving side. The delay line holds what the receiver holds; a dropped push
+repeats the line's last entry.
 
 The random generator is numpy's default PCG64 stream seeded per channel, so
 drop sequences are bit-reproducible for a fixed (seed, push sequence). A
@@ -26,10 +27,6 @@ __all__ = [
 # draws equals the same number of single draws from the generator, bit for bit.
 DROP_BLOCK = 4096
 
-# Entered in place of a dropped payload, so the line advances once per push.
-_LOST = object()
-
-
 @dataclass(frozen=True)
 class ChannelConfig:
     """delay_steps is the transport delay in pushes (control steps)."""
@@ -49,13 +46,14 @@ class ChannelConfig:
 class Channel:
     """Delay line owned by one simulation loop, pushed once per control step.
 
-    push() takes the next Bernoulli drop decision for a payload and enters
-    it, or a lost marker, at the end of the line; output() delivers each
-    entry delay_steps pushes after it entered and returns the latest
-    delivered payload, or the initial value before the first. The line holds
-    only entries not yet delivered, so its memory does not grow with the
-    delay. Payloads are passed through as given. Only a channel with
-    drop_prob > 0 seeds a generator; a lossless one never drops.
+    The line's head is what the receiver holds, the initial value until the
+    first push arrives. Behind it sits one entry per push not yet delivered:
+    the value the receiver will hold once that push arrives, its payload or,
+    when dropped, the entry before it. push() takes the next Bernoulli drop
+    decision, enters that entry and trims the line to delay_steps + 1
+    entries, read or not; output() returns the head. Payloads are passed
+    through as given. Only a channel with drop_prob > 0 seeds a generator; a
+    lossless one never drops.
     """
 
     def __init__(self, config: ChannelConfig):
@@ -67,22 +65,19 @@ class Channel:
             self._drops = itertools.chain.from_iterable(
                 (rng.random(DROP_BLOCK) < config.drop_prob).tolist()
                 for _ in itertools.repeat(None))
-        self._line: deque = deque()
-        self._delay = config.delay_steps
-        self._held = config.initial_value
+        self._line = deque([config.initial_value])
+        self._length = config.delay_steps + 1
 
     def push(self, value) -> bool:
         """Offer the payload of the current step; returns True when it is
         dropped."""
         dropped = next(self._drops)
-        self._line.append(_LOST if dropped else value)
+        line = self._line
+        line.append(line[-1] if dropped else value)
+        if len(line) > self._length:
+            line.popleft()
         return dropped
 
     def output(self):
         """Receiver-side payload after the pushes made so far."""
-        line = self._line
-        while len(line) > self._delay:
-            value = line.popleft()
-            if value is not _LOST:
-                self._held = value
-        return self._held
+        return self._line[0]

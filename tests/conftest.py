@@ -20,8 +20,9 @@ def grid_peak_gain(ss, n_points=100_000, w_lo=1e-3, w_hi=1e4):
     """Dense-grid supremum of the largest response singular value.
 
     Independent of the package's norm path: the response is evaluated from
-    the eigendecomposition of A over a log-spaced grid (plus DC) and the
-    singular values come from one batched SVD.
+    the eigendecomposition of A over a log-spaced grid (plus DC). With one
+    input or one output the response is a vector and its 2-norm is the
+    singular value; otherwise they come from one batched SVD.
     """
     if ss.n_states == 0:
         return sigma_max(ss.D)
@@ -29,6 +30,8 @@ def grid_peak_gain(ss, n_points=100_000, w_lo=1e-3, w_hi=1e4):
     terms = (ss.C @ v).T[:, :, None] * np.linalg.solve(v, ss.B)[:, None, :]
     w = np.concatenate([[0.0], np.logspace(np.log10(w_lo), np.log10(w_hi), n_points - 1)])
     resp = np.tensordot(1.0 / (1j * w[:, None] - lam[None, :]), terms, axes=(1, 0)) + ss.D
+    if min(ss.n_inputs, ss.n_outputs) == 1:
+        return float(np.linalg.norm(resp, axis=(1, 2)).max())
     return float(np.linalg.svd(resp, compute_uv=False)[:, 0].max())
 
 

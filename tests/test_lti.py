@@ -315,6 +315,16 @@ def test_hinf_norm_rejects_non_finite_tol():
             lti.hinf_norm(lag(), tol=tol)
 
 
+@pytest.mark.parametrize("ss,tol", [
+    (lti.StateSpaceModel([[-1.0]], [[1.0]], [[-1.0]], [[1.0]]), 1e-16),  # s/(s+1)
+    (lag(), 1e-13)], ids=["high_pass", "lag"])
+def test_hinf_norm_rejects_tol_below_its_rounding_floor(ss, tol):
+    # at 1e-16, 1 + tol == 1 and the first level equals the bound: s/(s+1)
+    # raised a LinAlgError, and tols just above returned norms up to 0.8 % low
+    with pytest.raises(ValueError, match="^tol"):
+        lti.hinf_norm(ss, tol=tol)
+
+
 def _lag_scaled(bc, d=0.0):
     # bc^2/(s+1) + d
     return lti.StateSpaceModel([[-1.0]], [[bc]], [[bc]], [[d]])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from afcsim import netchan
+from afcsim import config, harness, netchan
 
 
 def make_channel(**kwargs):
@@ -156,6 +156,34 @@ def test_line_memory_does_not_grow_with_the_delay():
         tracemalloc.stop()
     assert outputs == [-1.0] * 5
     assert peak < 1_000_000
+
+
+def test_unread_line_stays_bounded_and_holds_what_a_read_one_holds():
+    # pushes with no output() in between: the line keeps delay_steps + 1
+    # entries, so its memory follows the delay and not the unread pushes
+    cfg = netchan.ChannelConfig(delay_steps=3, drop_prob=0.3, seed=5, initial_value=-1.0)
+    unread, read = netchan.Channel(cfg), netchan.Channel(cfg)
+    tracemalloc.start()
+    try:
+        for i in range(100_000):
+            unread.push(float(i))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for i in range(100_000):
+        read.push(float(i))
+        held = read.output()
+    assert peak < 200_000
+    assert unread.output() == held
+
+
+def test_run_with_a_delay_past_every_int64_completes():
+    # 1e300 s is more than 2**63 steps: no bound on the line may be a C integer
+    cfg = config.parse_config("duration = 0.01\nactuator_channel.delay = 1e300")
+    trace, _ = harness.run_experiment(cfg)
+    assert cfg.actuator_channel.delay_steps > 2 ** 63
+    assert trace.abort_reason is None
+    assert trace.rows.shape[0] == 10
 
 
 def test_fifo_order_for_any_seed():

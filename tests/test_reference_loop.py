@@ -12,6 +12,7 @@ rounding differs from the loop's by a few ulps per step.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from afcsim import config, harness
 
@@ -127,9 +128,7 @@ def assert_within_tolerance(actual, expected, axis):
     assert np.all(worst <= 0.0), worst
 
 
-@pytest.mark.parametrize("name", CONFIGS)
-def test_run_experiment_matches_plain_reference_loop(name):
-    cfg = config.parse_config(CONFIGS[name])
+def check_against_reference(cfg):
     trace, _ = harness.run_experiment(cfg)
     rows, theta = reference_run(cfg)
     # both runs end at the same step, and only an aborted one ends early
@@ -137,3 +136,34 @@ def test_run_experiment_matches_plain_reference_loop(name):
     assert (trace.abort_reason is None) == (len(rows) == cfg.n_steps)
     assert_within_tolerance(trace.rows, rows, axis=0)
     assert_within_tolerance(np.stack([trace.theta_f, trace.theta_g]), theta, axis=1)
+    return trace
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_run_experiment_matches_plain_reference_loop(name):
+    check_against_reference(config.parse_config(CONFIGS[name]))
+
+
+def channel_text(prefix, steps, drop_prob):
+    # steps / 1000 prints as the shortest decimal, a whole number of 1 ms steps
+    return f"{prefix}.delay = {steps / 1000}\n{prefix}.drop_prob = {drop_prob!r}\n"
+
+
+x0_entry = st.floats(-0.3, 0.3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(steps=st.integers(200, 300), seed=st.integers(0, 2 ** 32 - 1),
+       sensor=st.tuples(st.integers(0, 30), st.floats(0.0, 0.5)),
+       actuator=st.tuples(st.integers(0, 30), st.floats(0.0, 0.5)),
+       x0=st.tuples(x0_entry, x0_entry), k=st.tuples(st.floats(1.0, 5.0), st.floats(1.0, 5.0)),
+       r=st.floats(0.05, 2.0), gammas=st.tuples(st.floats(1.0, 50.0), st.floats(1.0, 50.0)))
+def test_run_experiment_matches_reference_for_drawn_delays_and_losses(
+        steps, seed, sensor, actuator, x0, k, r, gammas):
+    cfg = config.parse_config(
+        f"duration = {steps / 1000}\nseed = {seed}\nplant.x0 = {x0[0]!r}, {x0[1]!r}\n"
+        + channel_text("sensor_channel", *sensor) + channel_text("actuator_channel", *actuator)
+        + f"controller.k = {k[0]!r}, {k[1]!r}\ncontroller.r = {r!r}\n"
+        f"controller.gamma_f = {gammas[0]!r}\ncontroller.gamma_g = {gammas[1]!r}")
+    assert cfg.n_steps == steps
+    assert check_against_reference(cfg).abort_reason is None
